@@ -87,8 +87,8 @@ struct CompileResult
  *
  * Thread-safety: a CompileContext is single-writer state — the cache
  * mutates on every lookup — so it must never be shared across
- * concurrently running compiles. Parallel callers (the exhaustive
- * strategy's fan-out) build one context per lane; contexts over the
+ * concurrently running compiles. Parallel callers (the exhaustive and
+ * portfolio fan-outs) build one context per lane; contexts over the
  * same topo/lib/cfg are interchangeable result-wise because caching
  * never changes what a compile emits, only how fast it prices paths.
  */

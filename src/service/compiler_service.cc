@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "circuits/registry.hh"
 #include "common/error.hh"
 #include "ir/fingerprint.hh"
 #include "service/artifact_store.hh"
@@ -94,20 +93,9 @@ CompileRequest
 CompileRequest::forCircuit(Circuit c, Topology topo, std::string strategy,
                            CompilerConfig cfg, GateLibrary lib)
 {
-    CompileRequest req{std::move(topo), std::move(strategy),
-                       std::move(lib), cfg, std::move(c), "", 0};
-    return req;
-}
-
-CompileRequest
-CompileRequest::forFamily(std::string family, int size, Topology topo,
-                          std::string strategy, CompilerConfig cfg,
-                          GateLibrary lib)
-{
-    CompileRequest req{std::move(topo), std::move(strategy),
-                       std::move(lib), cfg, std::nullopt,
-                       std::move(family), size};
-    return req;
+    return {std::move(topo), std::move(strategy), std::move(lib),
+            std::move(cfg), std::move(c), /*device=*/"",
+            /*fullCompile=*/false};
 }
 
 CompileRequest
@@ -119,21 +107,11 @@ CompileRequest::forDevice(Circuit c, std::string device,
     // registered device's topology (and calibration) before anything
     // reads it. CompileRequest has no unset-topology state because
     // Topology is not default-constructible.
-    CompileRequest req{Topology::line(1), std::move(strategy),
-                       std::move(lib), cfg, std::move(c), "", 0};
+    CompileRequest req =
+        forCircuit(std::move(c), Topology::line(1), std::move(strategy),
+                   std::move(cfg), std::move(lib));
     req.device = std::move(device);
     return req;
-}
-
-Circuit
-CompileRequest::resolveCircuit() const
-{
-    if (circuit)
-        return *circuit;
-    QFATAL_IF(family.empty(),
-              "compile request names neither a circuit nor a registry "
-              "family");
-    return benchmarkFamily(family).make(size);
 }
 
 // ------------------------------------------------------------------
@@ -278,18 +256,9 @@ CompilerService::compileImpl(const CompileRequest &req)
         return compileImpl(resolved);
     }
 
-    // Resolve the circuit first: the memo key hashes its content.
-    std::optional<Circuit> resolved;
-    const Circuit *circuit = nullptr;
-    if (req.circuit) {
-        circuit = &*req.circuit;
-    } else {
-        resolved.emplace(req.resolveCircuit());
-        circuit = &*resolved;
-    }
-
+    const Circuit &circuit = req.circuit;
     RequestKey key;
-    key.circuit = circuitFingerprint(*circuit);
+    key.circuit = circuitFingerprint(circuit);
     key.topo = topologyFingerprint(req.topology);
     key.lib = libraryFingerprint(req.library);
     key.cfg = configFingerprint(req.config);
@@ -342,12 +311,12 @@ CompilerService::compileImpl(const CompileRequest &req)
             tmpl_eligible =
                 tier_on &&
                 std::any_of(
-                    circuit->gates().begin(), circuit->gates().end(),
+                    circuit.gates().begin(), circuit.gates().end(),
                     [](const Gate &g) { return gateHasParam(g.type); });
             if (tmpl_eligible) {
                 tkey = key;
                 tkey.circuit =
-                    structuralCircuitFingerprint(*circuit).value;
+                    structuralCircuitFingerprint(circuit).value;
                 auto tt = templateIndex_.find(tkey);
                 if (tt != templateIndex_.end()) {
                     ++templateHits_;
@@ -411,10 +380,10 @@ CompilerService::compileImpl(const CompileRequest &req)
             // template key covers the config fingerprint, so the
             // template was built under this same calibration.
             artifact = std::make_shared<const CompileResult>(
-                rebindTemplate(*tmpl, *circuit, req.library,
+                rebindTemplate(*tmpl, circuit, req.library,
                                req.config.calibration.get()));
         } else {
-            artifact = compileUncached(req, *circuit, ctx_fp);
+            artifact = compileUncached(req, ctx_fp);
         }
     } catch (...) {
         std::lock_guard<std::mutex> lk(mu_);
@@ -455,7 +424,7 @@ CompilerService::compileImpl(const CompileRequest &req)
     TemplatePtr fresh;
     if (tmpl_eligible && !tmpl)
         fresh = std::make_shared<const CompiledTemplate>(
-            makeTemplate(artifact, *circuit));
+            makeTemplate(artifact, circuit));
 
     {
         std::lock_guard<std::mutex> lk(mu_);
@@ -492,7 +461,6 @@ CompilerService::compileImpl(const CompileRequest &req)
 
 CompileArtifact
 CompilerService::compileUncached(const CompileRequest &req,
-                                 const Circuit &circuit,
                                  std::uint64_t ctx_fp)
 {
     // makeStrategy first: an unknown name must fail before a context
@@ -503,7 +471,7 @@ CompilerService::compileUncached(const CompileRequest &req,
     // pointers into them) but the *caller's* config, so per-request
     // knobs the context does not price (threads) are honored. The two
     // configs agree on every pricing field by construction of ctx_fp.
-    CompileResult res = strategy->compile(circuit, pc->topo, pc->lib,
+    CompileResult res = strategy->compile(req.circuit, pc->topo, pc->lib,
                                           req.config, &*pc->ctx);
     // Pool the context (with its warmed distance fields) only on
     // success; a compile that threw may leave it mid-mutation.

@@ -7,9 +7,9 @@
  * packages them behind one stable, session-oriented API a high-traffic
  * deployment can sit behind:
  *
- *  - CompileRequest: circuit (explicit or by registry family name) +
- *    topology + strategy name + CompilerConfig + GateLibrary, all by
- *    value so requests are self-contained and content-addressable.
+ *  - CompileRequest: circuit + topology + strategy name +
+ *    CompilerConfig + GateLibrary, all by value so requests are
+ *    self-contained and content-addressable.
  *  - compileSync() / submit() / submitBatch(): synchronous and
  *    future-based asynchronous entry points over the shared ThreadPool.
  *  - An artifact memo cache: an LRU keyed by canonical content
@@ -126,11 +126,10 @@ std::uint64_t configFingerprint(const CompilerConfig &cfg);
 /**
  * One self-contained compile request.
  *
- * The circuit is either explicit (@ref circuit) or named by registry
- * family + size (resolved via circuits/registry.hh). Topology and
- * library travel by value: the service keys its caches on content, so
- * callers need not keep request inputs alive, and mutating a
- * GateLibrary between requests can never poison a cached artifact.
+ * Circuit, topology and library travel by value: the service keys its
+ * caches on content, so callers need not keep request inputs alive,
+ * and mutating a GateLibrary between requests can never poison a
+ * cached artifact.
  */
 struct CompileRequest
 {
@@ -138,12 +137,7 @@ struct CompileRequest
     std::string strategy = "eqm";
     GateLibrary library;
     CompilerConfig config;
-
-    /** Explicit program; when unset, family/size pick a registry
-     *  circuit. */
-    std::optional<Circuit> circuit;
-    std::string family; ///< registry family name (see circuits/registry.hh)
-    int size = 0;       ///< registry qubit budget
+    Circuit circuit;
 
     /** Compile against a REGISTERED device instead of the request's
      *  own topology/calibration: when non-empty, the service swaps in
@@ -166,22 +160,12 @@ struct CompileRequest
                                      CompilerConfig cfg = {},
                                      GateLibrary lib = {});
 
-    /** Request for a registry circuit ("bv", "qaoa_random", ...). */
-    static CompileRequest forFamily(std::string family, int size,
-                                    Topology topo, std::string strategy,
-                                    CompilerConfig cfg = {},
-                                    GateLibrary lib = {});
-
     /** Request against a registered device by name (topology and
      *  calibration resolve at compile time; see @ref device). */
     static CompileRequest forDevice(Circuit c, std::string device,
                                     std::string strategy,
                                     CompilerConfig cfg = {},
                                     GateLibrary lib = {});
-
-    /** The circuit this request compiles (registry lookup may throw
-     *  FatalError on an unknown family). */
-    Circuit resolveCircuit() const;
 };
 
 /** Shared immutable compiled artifact. */
@@ -192,8 +176,8 @@ using CompileArtifact = std::shared_ptr<const CompileResult>;
  *
  * Copyable (shared future). get() blocks until the compile finishes
  * and either returns the artifact or rethrows the compile's exception
- * (FatalError for circuits a strategy cannot fit, unknown strategy or
- * family names, ...). Handles become ready no later than the owning
+ * (FatalError for circuits a strategy cannot fit, unknown strategy
+ * names, ...). Handles become ready no later than the owning
  * service's destruction.
  */
 class CompileHandle
@@ -449,7 +433,6 @@ class CompilerService
 
     CompileArtifact compileImpl(const CompileRequest &req);
     CompileArtifact compileUncached(const CompileRequest &req,
-                                    const Circuit &circuit,
                                     std::uint64_t ctx_fp);
 
     /** @name Disk-tier circuit breaker (state under mu_)

@@ -1,36 +1,17 @@
 #include "strategies/portfolio.hh"
 
+#include <optional>
+
 #include "common/error.hh"
+#include "common/thread_pool.hh"
 
 namespace qompress {
 
-namespace {
-
-ServiceOptions
-portfolioServiceOptions()
+PortfolioStrategy::PortfolioStrategy(const std::vector<std::string> &names)
 {
-    ServiceOptions opts;
-    // Enough memo room for every member of a handful of recent
-    // distinct requests; the pool keeps one warm context per member's
-    // pricing configuration (they usually share one).
-    opts.cacheCapacity = 64;
-    // Members inherit the template tier too: a portfolio driven down
-    // an angle sweep full-compiles each member once, then every later
-    // instance is a per-member rebind (winner selection reads metrics,
-    // which rebind reproduces bit-identically, so the winning member
-    // never changes from what full compiles would pick).
-    opts.templateCacheCapacity = 64;
-    opts.contextPoolCapacity = 8;
-    opts.threads = 0; // overridden per compile by cfg.threads
-    return opts;
-}
-
-} // namespace
-
-PortfolioStrategy::PortfolioStrategy(std::vector<std::string> names)
-    : names_(std::move(names)), service_(portfolioServiceOptions())
-{
-    QFATAL_IF(names_.empty(), "portfolio needs at least one member");
+    QFATAL_IF(names.empty(), "portfolio needs at least one member");
+    for (const auto &n : names)
+        members_.push_back(makeStrategy(n));
 }
 
 CompileResult
@@ -39,45 +20,50 @@ PortfolioStrategy::compile(const Circuit &circuit, const Topology &topo,
                            const CompilerConfig &cfg,
                            CompileContext *ctx) const
 {
-    // The caller's context cannot be shared out to members (contexts
-    // are single-writer and members may run concurrently); members
-    // draw pooled contexts from the service instead.
-    (void)ctx;
+    // Member fan-out: cfg.threads lanes (0 = the process default).
+    // Lane 0 uses the caller's context; other lanes (and lane 0 when
+    // the caller passed none) lazily build their own, since contexts
+    // are single-writer. Calls already running on a pool worker stay
+    // serial (ThreadPool::forRequest returns nullptr there).
+    std::optional<ThreadPool> own_pool;
+    ThreadPool *pool = ThreadPool::forRequest(cfg.threads, own_pool);
+    std::vector<std::unique_ptr<CompileContext>> lane_ctx(
+        pool ? pool->numThreads() : 1);
+    auto ctx_of_lane = [&](int lane) -> CompileContext * {
+        if (lane == 0 && ctx)
+            return ctx;
+        if (!lane_ctx[lane])
+            lane_ctx[lane] = std::make_unique<CompileContext>(topo, lib, cfg);
+        return lane_ctx[lane].get();
+    };
 
-    std::vector<CompileRequest> reqs;
-    reqs.reserve(names_.size());
-    for (const auto &member : names_)
-        reqs.push_back(
-            CompileRequest::forCircuit(circuit, topo, member, cfg, lib));
-    auto handles = service_.submitBatch(std::move(reqs), cfg.threads);
-
-    // Deterministic serial reduction in member order with the strict
-    // ">" the serial loop used: ties keep the earliest member, and
-    // lastWinner_ is written exactly once, by this (the calling)
-    // thread, after all members have finished. Artifacts are shared
-    // and immutable, so the scan only tracks the best one; the single
-    // copy into the returned result happens after the loop.
-    CompileArtifact best;
-    const std::string *winner = nullptr;
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-        CompileArtifact artifact;
+    std::vector<std::optional<CompileResult>> results(members_.size());
+    auto compile_member = [&](std::size_t i, int lane) {
         try {
-            artifact = handles[i].get();
+            results[i] = members_[i]->compile(circuit, topo, lib, cfg,
+                                              ctx_of_lane(lane));
         } catch (const FatalError &) {
             // A member may not fit (e.g. qubit-only over capacity);
             // the portfolio simply skips it.
-            continue;
         }
-        if (!winner ||
-            artifact->metrics.totalEps > best->metrics.totalEps) {
-            best = std::move(artifact);
-            winner = &names_[i];
-        }
+    };
+    if (pool)
+        pool->parallelFor(0, members_.size(), compile_member);
+    else
+        for (std::size_t i = 0; i < members_.size(); ++i)
+            compile_member(i, 0);
+
+    // Serial reduction in member order with a strict ">": ties keep
+    // the earliest member whatever the lane count.
+    std::optional<CompileResult> *best = nullptr;
+    for (auto &res : results) {
+        if (res && (!best || res->metrics.totalEps >
+                                 (*best)->metrics.totalEps))
+            best = &res;
     }
-    QFATAL_IF(!winner, "no portfolio member could compile '",
+    QFATAL_IF(!best, "no portfolio member could compile '",
               circuit.name(), "' on ", topo.name());
-    lastWinner_ = *winner;
-    return *best;
+    return std::move(**best);
 }
 
 } // namespace qompress

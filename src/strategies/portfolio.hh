@@ -5,23 +5,23 @@
  * a deployment would simply take the winner, which this class
  * packages behind the common interface.
  *
- * The member compiles go through a private CompilerService: the
- * service fans the batch across the thread pool (cfg.threads lanes),
- * pools contexts so repeated compiles on one portfolio instance reuse
- * warmed distance fields, and memoizes member artifacts so recompiling
- * the same circuit (parameter studies, repeated queries) serves cached
- * results. The winner is still chosen by a serial reduction in member
- * order with the same strict comparison the serial loop used — so the
- * winner (and lastWinner()) is identical at every lane count and
- * cache configuration. Members that themselves want lanes are safe:
- * compiles running on a pool worker degrade their internal fan-out to
- * inline execution.
+ * The members are built once, at construction, and compiled the way
+ * the exhaustive strategy scores its candidates: fanned out over
+ * cfg.threads lanes with one CompileContext per lane (lane 0 uses the
+ * caller's). A member that throws FatalError does not fit and is
+ * skipped. The winner comes from a serial reduction in member order
+ * with a strict ">" on totalEps, so ties keep the earliest member and
+ * the result is identical at every lane count.
+ *
+ * Like every strategy, a portfolio is stateless. Caching belongs to
+ * whoever owns the request (CompilerService, runSweep, qompressd),
+ * which memoizes, rebinds, and persists a portfolio compile as one
+ * artifact.
  */
 
 #ifndef QOMPRESS_STRATEGIES_PORTFOLIO_HH
 #define QOMPRESS_STRATEGIES_PORTFOLIO_HH
 
-#include "service/compiler_service.hh"
 #include "strategies/strategy.hh"
 
 namespace qompress {
@@ -31,10 +31,12 @@ class PortfolioStrategy : public CompressionStrategy
 {
   public:
     /** @param names member strategies; defaults to the paper's set
-     *  minus the deliberately-bad FQ baseline. */
+     *  minus the deliberately-bad FQ baseline.
+     *  @throws FatalError on an empty list or an unknown name (the
+     *          message lists every valid name). */
     explicit PortfolioStrategy(
-        std::vector<std::string> names = {"qubit_only", "eqm", "rb",
-                                          "awe", "pp"});
+        const std::vector<std::string> &names = {"qubit_only", "eqm", "rb",
+                                                 "awe", "pp"});
 
     std::string name() const override { return "portfolio"; }
 
@@ -44,23 +46,8 @@ class PortfolioStrategy : public CompressionStrategy
                           const CompilerConfig &cfg,
                           CompileContext *ctx) const override;
 
-    /** Name of the member that won the last compile() call. Written
-     *  once per compile by the calling thread (after the parallel
-     *  members join), so it is race-free at any lane count; like the
-     *  rest of the class it is not synchronized against *concurrent
-     *  compile() calls on the same instance*. */
-    const std::string &lastWinner() const { return lastWinner_; }
-
-    /** The member-compile service (cache counters for tests/benches). */
-    const CompilerService &service() const { return service_; }
-
   private:
-    std::vector<std::string> names_;
-    mutable std::string lastWinner_;
-    /** Member-compile front end; CompilerService is internally
-     *  thread-safe, so concurrent compiles on one instance only
-     *  contend on lastWinner_ (see above). */
-    mutable CompilerService service_;
+    std::vector<std::unique_ptr<CompressionStrategy>> members_;
 };
 
 } // namespace qompress

@@ -22,11 +22,10 @@ namespace qompress {
  * common pipeline; FQ overrides compile() outright because it routes
  * at the qudit level with encode/decode around external operations.
  *
- * Thread-safety: the standard strategies are stateless, so one
- * instance may serve concurrent compiles as long as each call uses
- * its own CompileContext (the portfolio strategy, which records its
- * last winner, is the exception). The exhaustive strategy
- * additionally parallelizes internally; see CompilerConfig::threads.
+ * Thread-safety: every strategy is stateless, so one instance may
+ * serve concurrent compiles as long as each call uses its own
+ * CompileContext. The exhaustive and portfolio strategies
+ * additionally parallelize internally; see CompilerConfig::threads.
  */
 class CompressionStrategy
 {

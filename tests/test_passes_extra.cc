@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "circuits/arithmetic.hh"
+#include "common/error.hh"
 #include "ir/passes.hh"
 #include "sim/equivalence.hh"
 #include "strategies/portfolio.hh"
@@ -138,18 +140,20 @@ TEST(Portfolio, PicksTheBestMember)
     const GateLibrary lib;
     PortfolioStrategy portfolio;
     const auto best = portfolio.compile(c, topo, lib);
+    double best_member = 0.0;
     for (const char *s : {"qubit_only", "eqm", "rb", "awe", "pp"}) {
         const auto res = makeStrategy(s)->compile(c, topo, lib);
-        EXPECT_GE(best.metrics.totalEps + 1e-12, res.metrics.totalEps)
-            << s;
+        EXPECT_GE(best.metrics.totalEps, res.metrics.totalEps) << s;
+        best_member = std::max(best_member, res.metrics.totalEps);
     }
-    EXPECT_FALSE(portfolio.lastWinner().empty());
+    EXPECT_EQ(best.metrics.totalEps, best_member);
 }
 
 TEST(Portfolio, SkipsMembersThatDoNotFit)
 {
     // 8 qubits on 4 units: qubit_only cannot fit but the portfolio
-    // still succeeds through the compressing members.
+    // still succeeds through the compressing members, whose results
+    // encode every qubit in a pair.
     Circuit c(8, "tight");
     for (int q = 0; q + 1 < 8; ++q)
         c.cx(q, q + 1);
@@ -157,12 +161,33 @@ TEST(Portfolio, SkipsMembersThatDoNotFit)
     const GateLibrary lib;
     const auto res = portfolio.compile(c, Topology::grid(4), lib);
     EXPECT_GT(res.metrics.totalEps, 0.0);
-    EXPECT_NE(portfolio.lastWinner(), "qubit_only");
+    EXPECT_EQ(res.compressions.size(), 4u);
 }
 
 TEST(Portfolio, AvailableThroughRegistry)
 {
     EXPECT_EQ(makeStrategy("portfolio")->name(), "portfolio");
+}
+
+TEST(Portfolio, UnknownMemberFailsAtConstruction)
+{
+    // A misspelled member must not be skipped as "does not fit".
+    const std::vector<std::vector<std::string>> misspelled = {
+        {"eqm", "eqmm"}, {"eqmm"}};
+    for (const auto &names : misspelled) {
+        try {
+            PortfolioStrategy portfolio(names);
+            FAIL() << "PortfolioStrategy should have thrown";
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("'eqmm'"), std::string::npos) << msg;
+            for (const auto &valid : strategyNames())
+                EXPECT_NE(msg.find(valid), std::string::npos)
+                    << "error message should list '" << valid << "'";
+        }
+    }
+    EXPECT_THROW(PortfolioStrategy(std::vector<std::string>{}),
+                 FatalError);
 }
 
 } // namespace

@@ -8,8 +8,8 @@
  * standard strategy on ring/grid/heavyHex65, across {cache on/off} x
  * {1, 2, 8 lanes} x {sync, async batch}. The rest covers the memo
  * cache (hit rates, LRU eviction, capacity knob, shared artifacts),
- * the context pool, registry-by-name requests, the structured
- * unknown-strategy error, and the strategy-registry round trip.
+ * the context pool, the structured unknown-strategy error, and the
+ * strategy-registry round trip.
  */
 
 #include <gtest/gtest.h>
@@ -258,8 +258,8 @@ TEST(ServiceContextPool, ReusesWarmContextsAcrossRequests)
         bernsteinVazirani(8), topo, "rb", CompilerConfig{}, lib));
     service.compileSync(CompileRequest::forCircuit(
         bernsteinVazirani(7), topo, "eqm", CompilerConfig{}, lib));
-    service.compileSync(CompileRequest::forFamily(
-        "bv", 8, topo, "awe", CompilerConfig{}, lib));
+    service.compileSync(CompileRequest::forCircuit(
+        benchmarkFamily("bv").make(8), topo, "awe", CompilerConfig{}, lib));
     ServiceStats s = service.stats();
     EXPECT_EQ(s.contextsCreated, 1u);
     EXPECT_EQ(s.contextsReused, 3u);
@@ -292,21 +292,6 @@ TEST(ServiceContextPool, DisabledPoolBuildsColdContexts)
     EXPECT_EQ(s.contextsCreated, 2u);
     EXPECT_EQ(s.contextsReused, 0u);
     EXPECT_EQ(s.pooledContexts, 0u);
-}
-
-TEST(ServiceRequests, FamilyAndExplicitCircuitShareArtifacts)
-{
-    const Topology topo = Topology::grid(8);
-    CompilerService service;
-    const CompileArtifact by_family = service.compileSync(
-        CompileRequest::forFamily("bv", 8, topo, "eqm"));
-    // The registry's "bv" family is bernsteinVazirani: an explicit
-    // circuit with identical content is the same request.
-    const CompileArtifact by_circuit =
-        service.compileSync(CompileRequest::forCircuit(
-            benchmarkFamily("bv").make(8), topo, "eqm"));
-    EXPECT_EQ(by_family.get(), by_circuit.get());
-    EXPECT_EQ(service.stats().hits, 1u);
 }
 
 TEST(ServiceRequests, DuplicateBatchSharesOneArtifact)
@@ -378,28 +363,6 @@ TEST(ServiceErrors, UnknownStrategyListsValidNames)
     EXPECT_THROW(handle.get(), FatalError);
     // Failures are not cached.
     EXPECT_EQ(service.stats().cacheSize, 0u);
-}
-
-TEST(ServiceErrors, UnknownFamilyThrows)
-{
-    CompilerService service;
-    EXPECT_THROW(service.compileSync(CompileRequest::forFamily(
-                     "no_such_family", 8, Topology::grid(8), "eqm")),
-                 FatalError);
-    // Explicit-circuit requests resolve to their own circuit.
-    const Circuit resolved =
-        CompileRequest::forCircuit(bernsteinVazirani(4),
-                                   Topology::grid(4), "eqm")
-            .resolveCircuit();
-    EXPECT_EQ(resolved.numQubits(), 4);
-}
-
-TEST(ServiceErrors, RequestWithoutCircuitOrFamilyThrows)
-{
-    CompileRequest req = CompileRequest::forFamily(
-        "bv", 8, Topology::grid(8), "eqm");
-    req.family.clear();
-    EXPECT_THROW(req.resolveCircuit(), FatalError);
 }
 
 TEST(StrategyRegistry, RoundTripsEveryName)
@@ -552,8 +515,9 @@ TEST(ServiceDiskTier, RestartWarmServesCatalogWithZeroCompiles)
         bernsteinVazirani(7), Topology::ring(8), "eqm", cfg, lib));
     catalog.push_back(CompileRequest::forCircuit(
         angleCircuit(0.25), Topology::grid(6), "eqm", cfg, lib));
-    catalog.push_back(CompileRequest::forFamily(
-        "qaoa_random", 8, Topology::grid(8), "awe", cfg, lib));
+    catalog.push_back(CompileRequest::forCircuit(
+        benchmarkFamily("qaoa_random").make(8), Topology::grid(8), "awe",
+        cfg, lib));
 
     std::vector<CompileArtifact> first;
     {
@@ -577,8 +541,8 @@ TEST(ServiceDiskTier, RestartWarmServesCatalogWithZeroCompiles)
     CompilerService restarted(opts);
     for (std::size_t i = 0; i < catalog.size(); ++i) {
         const CompileArtifact art = restarted.compileSync(catalog[i]);
-        const Circuit c = catalog[i].resolveCircuit();
-        EXPECT_TRUE(sameResult(*art, *first[i], c.numQubits()))
+        EXPECT_TRUE(sameResult(*art, *first[i],
+                               catalog[i].circuit.numQubits()))
             << "catalog entry " << i;
     }
     const ServiceStats s = restarted.stats();

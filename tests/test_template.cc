@@ -453,12 +453,11 @@ TEST(SweepParamGrid, ParallelGridMatchesSerialGrid)
     EXPECT_GE(pstats.templateHits, 1u);
 }
 
-TEST(SweepParamGrid, PortfolioRidesTheMemberTemplates)
+TEST(SweepParamGrid, PortfolioRowsAreRebindsOfOneArtifact)
 {
-    // The portfolio's internal service rebinding its members must not
-    // change winners: records equal a portfolio sweep with templates
-    // effectively cold (every row forced through full compiles by a
-    // fresh spec without reuse -- rows are independent requests).
+    // The sweep's service treats a portfolio compile as one artifact
+    // like any other strategy's: the first row full-compiles (every
+    // member), every later row rebinds that winner's template.
     SweepSpec spec;
     spec.families = {"qaoa_random"};
     spec.sizes = {8};
@@ -466,14 +465,19 @@ TEST(SweepParamGrid, PortfolioRidesTheMemberTemplates)
     spec.threads = 1;
     for (int i = 0; i < 4; ++i)
         spec.paramGrid.push_back({0.15 + 0.4 * i, 1.7 - 0.2 * i});
+    ServiceStats stats;
+    spec.serviceStats = &stats;
 
     const auto rows = runSweep(spec);
     ASSERT_EQ(rows.size(), 4u);
     for (const auto &r : rows)
         EXPECT_GT(r.qubits, 0);
+    EXPECT_EQ(stats.requests, 4u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.templateHits, 3u);
 
-    // Reference: compile each bound instance directly via the
-    // portfolio strategy (cold object per row: no template reuse).
+    // Rebinds change nothing: each row equals a direct portfolio
+    // compile of its bound instance.
     const auto &family = benchmarkFamily("qaoa_random");
     const Circuit base = family.make(8);
     for (int i = 0; i < 4; ++i) {
