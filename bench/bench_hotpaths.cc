@@ -8,8 +8,8 @@
  * workload, the exhaustive strategy's candidate-pair sweep on
  * heavyHex65 (serial vs thread-pool fan-out at 2/4/8 lanes), the
  * evaluation-sweep cell fan-out at 1/2/4/8 lanes, the
- * CompilerService request path (cold vs warm-memo-cache batch
- * throughput at 1/2/4/8 lanes), the template tier (cold full
+ * CompilerService request path (cold vs warm-memo-cache request
+ * throughput from 1/2/4/8 lanes), the template tier (cold full
  * compiles vs parameter rebinds across a 20-point QAOA-40/heavyHex65
  * angle grid at 1/2/4/8 lanes), and the persistence tier (cold
  * compiles vs a disk-warm restart vs warm memo over the same request
@@ -35,7 +35,7 @@
  *                gradient produce bit-identical results at every lane
  *                count, and that CompilerService requests are
  *                bit-identical to direct strategy compiles at every
- *                lane count with warm (memoized) batches beating cold
+ *                lane count with warm (memoized) passes beating cold
  *                ones by >= the memo cache's expected margin, and that
  *                template rebinds are bit-identical to full compiles
  *                of the same angle-grid instances while beating them
@@ -65,6 +65,7 @@
 #include <fstream>
 #include <iostream>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -683,7 +684,7 @@ struct ServiceBenchResult
     std::uint64_t misses;   // memo misses observed at 1 lane
 };
 
-/** Warm batches must beat cold ones at least this much (they skip the
+/** Warm passes must beat cold ones at least this much (they skip the
  *  whole pipeline: a warm request is request fingerprinting plus one
  *  locked map lookup). Asserted under --check. */
 constexpr double kServiceWarmMargin = 5.0;
@@ -700,10 +701,31 @@ sameCompileResults(const CompileResult &a, const CompileResult &b)
            a.metrics.numGates == b.metrics.numGates;
 }
 
+/** One pass of @p reqs through @p service, fanned out over @p pool's
+ *  lanes (serially when null) the way runSweep fans out its cells;
+ *  artifacts land in request order when @p out is set. */
+void
+serveFromLanes(CompilerService &service, ThreadPool *pool,
+               const std::vector<CompileRequest> &reqs,
+               std::vector<CompileArtifact> *out)
+{
+    auto serve = [&](std::size_t i, int) {
+        CompileArtifact a = service.compileSync(reqs[i]);
+        if (out)
+            (*out)[i] = std::move(a);
+    };
+    if (pool)
+        pool->parallelFor(0, reqs.size(), serve);
+    else
+        for (std::size_t i = 0; i < reqs.size(); ++i)
+            serve(i, 0);
+}
+
 /**
  * The service-front-end workload: a (family x size x strategy)
  * request grid -- the redundant-compile shape of every evaluation
- * sweep -- issued twice through a CompilerService at each lane count.
+ * sweep -- issued twice through a CompilerService from each lane
+ * count of concurrent callers.
  * The cold pass (memo cleared) measures request-path compile
  * throughput; the warm pass measures memoized request throughput.
  * Artifacts must be bit-identical to direct strategy compiles at
@@ -736,24 +758,19 @@ benchService(int reps, int sizes_hi)
     res.identical = true;
     res.requests = static_cast<std::uint64_t>(reqs.size());
     for (int lanes : {1, 2, 4, 8}) {
-        ServiceOptions sopts;
-        sopts.threads = lanes;
-        CompilerService service(sopts);
+        CompilerService service;
+        std::optional<ThreadPool> own_pool;
+        ThreadPool *pool = ThreadPool::forRequest(lanes, own_pool);
 
         auto run_pass = [&](double &ms_acc,
                             std::vector<CompileArtifact> *out) {
             const auto t0 = Clock::now();
-            auto handles = service.submitBatch(reqs, lanes);
-            for (std::size_t i = 0; i < handles.size(); ++i) {
-                CompileArtifact a = handles[i].get();
-                if (out)
-                    (*out)[i] = std::move(a);
-            }
+            serveFromLanes(service, pool, reqs, out);
             ms_acc += 1e3 * secondsSince(t0);
         };
 
-        // Discarded warm-up: spawns the lane pool, grows the
-        // allocator, and populates the memo once.
+        // Discarded warm-up: grows the allocator and populates the
+        // memo once.
         double discard = 0.0;
         run_pass(discard, nullptr);
 
@@ -822,13 +839,13 @@ constexpr double kTemplateRebindMargin = 10.0;
 /**
  * The parameterized-sweep workload: a >= 20-point angle grid over the
  * QAOA-40/heavyHex65 circuit (one structure, varying rotation
- * angles), issued through a CompilerService at each lane count. The
- * cold pass forces full compiles via CompileRequest::fullCompile (and
- * clears the memo between reps, so every point pays the whole
- * pipeline); the rebind pass warms one template with a single
- * full compile of an off-grid exemplar, then serves the entire grid
- * from the template tier. Rebound artifacts must be bit-identical to
- * the full compiles of the same instances.
+ * angles), issued through a CompilerService from each lane count of
+ * concurrent callers. The cold pass forces full compiles via
+ * CompileRequest::fullCompile (and clears the memo between reps, so
+ * every point pays the whole pipeline); the rebind pass warms one
+ * template with a single full compile of an off-grid exemplar, then
+ * serves the entire grid from the template tier. Rebound artifacts
+ * must be bit-identical to the full compiles of the same instances.
  */
 TemplateBenchResult
 benchTemplate(int reps, int rounds, int num_angles)
@@ -858,25 +875,20 @@ benchTemplate(int reps, int rounds, int num_angles)
     res.identical = true;
     res.angles = static_cast<std::uint64_t>(num_angles);
     for (int lanes : {1, 2, 4, 8}) {
-        ServiceOptions sopts;
-        sopts.threads = lanes;
-        CompilerService service(sopts);
+        CompilerService service;
+        std::optional<ThreadPool> own_pool;
+        ThreadPool *pool = ThreadPool::forRequest(lanes, own_pool);
 
         auto run_pass = [&](const std::vector<CompileRequest> &reqs,
                             double &ms_acc,
                             std::vector<CompileArtifact> *out) {
             const auto t0 = Clock::now();
-            auto handles = service.submitBatch(reqs, lanes);
-            for (std::size_t i = 0; i < handles.size(); ++i) {
-                CompileArtifact a = handles[i].get();
-                if (out)
-                    (*out)[i] = std::move(a);
-            }
+            serveFromLanes(service, pool, reqs, out);
             ms_acc += 1e3 * secondsSince(t0);
         };
 
-        // Discarded warm-up: spawns the lane pool and grows the
-        // allocator on the compile-heavy path.
+        // Discarded warm-up: grows the allocator on the compile-heavy
+        // path.
         double discard = 0.0;
         run_pass(full_reqs, discard, nullptr);
 
@@ -990,24 +1002,18 @@ benchPersist(int reps, int sizes_hi)
     res.identical = true;
     res.requests = static_cast<std::uint64_t>(reqs.size());
 
-    // Synchronous passes: the tiers differ in decode-vs-compile cost,
-    // which batch/pool dispatch overhead would mask at this scale.
+    // Serial passes: the tiers differ in decode-vs-compile cost,
+    // which lane dispatch overhead would mask at this scale.
     auto run_pass = [&](CompilerService &service, double &ms_acc,
                         std::vector<CompileArtifact> *out) {
         const auto t0 = Clock::now();
-        for (std::size_t i = 0; i < reqs.size(); ++i) {
-            CompileArtifact a = service.compileSync(reqs[i]);
-            if (out)
-                (*out)[i] = std::move(a);
-        }
+        serveFromLanes(service, nullptr, reqs, out);
         ms_acc += 1e3 * secondsSince(t0);
     };
 
     // Cold baseline: no store, memo dropped before every timed pass.
     {
-        ServiceOptions sopts;
-        sopts.threads = 1;
-        CompilerService service(sopts);
+        CompilerService service;
         double discard = 0.0;
         run_pass(service, discard, nullptr); // allocator/context warm-up
         for (int r = 0; r < reps; ++r) {
@@ -1021,7 +1027,6 @@ benchPersist(int reps, int sizes_hi)
     // whole catalog behind the misses.
     {
         ServiceOptions sopts;
-        sopts.threads = 1;
         sopts.storePath = store_path;
         CompilerService service(sopts);
         double discard = 0.0;
@@ -1037,7 +1042,6 @@ benchPersist(int reps, int sizes_hi)
     // microseconds-scale, so batch them for a stable timer window.
     {
         ServiceOptions sopts;
-        sopts.threads = 1;
         sopts.storePath = store_path;
         CompilerService service(sopts);
         const int disk_iters = reps * 20;
@@ -1479,7 +1483,7 @@ main(int argc, char **argv)
                "service memo cache observed both misses (cold) and "
                "hits (warm)");
         expect(service_warm_speedup >= kServiceWarmMargin,
-               "warm (memoized) service batches beat cold ones by >= "
+               "warm (memoized) service passes beat cold ones by >= "
                "the memo cache's expected margin");
         expect(tm.identical,
                "template rebinds are bit-identical to full compiles "

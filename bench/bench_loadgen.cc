@@ -378,7 +378,7 @@ main(int argc, char **argv)
 
     // ----------------------------------------------------------- warmup
     // One cold compile per catalog entry + one sweep structure, plus
-    // the family batch endpoint (submitBatch with n > 1).
+    // the family batch endpoint (GET /compile with several sizes).
     Client warm(host, port);
     int status = 0;
     std::string body;

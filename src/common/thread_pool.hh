@@ -1,8 +1,10 @@
 /**
  * @file
  * A fixed-size, work-stealing-free thread pool shared across the
- * toolchain: the exhaustive strategy fans candidate compiles over it
- * and the statevector shards its complement-block loop on it.
+ * toolchain. Five layers fan out over it with parallelFor(): the
+ * exhaustive strategy's candidate compiles, the portfolio's member
+ * compiles, runSweep's cells, GRAPE's segments (each sized by
+ * forRequest()), and the statevector's complement-block loop.
  *
  * Design: one mutex-protected FIFO task queue, N-1 detachable worker
  * threads plus the calling thread (which always participates in

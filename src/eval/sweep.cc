@@ -1,9 +1,11 @@
 #include "eval/sweep.hh"
 
+#include <optional>
 #include <set>
 
 #include "circuits/registry.hh"
 #include "common/error.hh"
+#include "common/thread_pool.hh"
 #include "ir/passes.hh"
 #include "service/compiler_service.hh"
 
@@ -39,7 +41,7 @@ runSweep(const SweepSpec &spec)
     // original family-major, size-ascending order, applying the
     // min-size and snapped-size-dedup rules. Circuit generation is
     // cheap next to the compiles; doing it up front yields a flat,
-    // stable cell list the service can fan out over.
+    // stable cell list the lanes can fan out over.
     std::vector<SweepInstance> instances;
     for (const auto &family_name : spec.families) {
         const auto &family = benchmarkFamily(family_name);
@@ -72,63 +74,56 @@ runSweep(const SweepSpec &spec)
         }
     }
 
-    // Phase 2: flatten to (instance x strategy) cells in the same
-    // iteration order the serial loop used, and push the whole grid
-    // through a sweep-local CompilerService batch. The service's
-    // context pool plays the old per-lane-context role, but keyed by
-    // content instead of lane: any cell over the same device/library/
-    // config pricing reuses warmed distance fields, whichever lane
-    // compiles it. Handles come back in request order, so records are
-    // bit-identical at every lane count (and, by the cache invariant,
-    // at every cache configuration).
-    std::vector<CompileRequest> reqs;
-    struct CellRef
-    {
-        const SweepInstance *inst;
-        const std::string *strategy;
-    };
-    std::vector<CellRef> cells;
-    reqs.reserve(instances.size() * spec.strategies.size());
-    cells.reserve(reqs.capacity());
-    for (const auto &inst : instances) {
-        for (const auto &strategy_name : spec.strategies) {
-            reqs.push_back(CompileRequest::forCircuit(
-                inst.circuit, inst.device, strategy_name, spec.config,
-                spec.library));
-            cells.push_back({&inst, &strategy_name});
-        }
-    }
+    // Phase 2: compile the (instance x strategy) cells, instance-major
+    // (cell i is instance i / S, strategy i % S), through one
+    // sweep-local CompilerService. Its context pool reuses warmed
+    // distance fields across cells over the same device/library/config
+    // pricing, whichever lane compiles them.
+    const std::size_t num_strategies = spec.strategies.size();
+    std::vector<SweepRecord> records(instances.size() * num_strategies);
 
     ServiceOptions sopts;
     // A figure sweep has no duplicate cells, so cap the memo at the
     // grid size (duplicate specs across repeated runSweep calls are
     // the caller's to memoize with a longer-lived service). Templates
     // sized likewise so an angle grid never thrashes its own tier.
-    sopts.cacheCapacity = reqs.size();
-    sopts.templateCacheCapacity = reqs.size();
-    const int want =
-        spec.threads >= 0 ? spec.threads : spec.config.threads;
+    sopts.cacheCapacity = records.size();
+    sopts.templateCacheCapacity = records.size();
     CompilerService service(sopts);
-    auto handles = service.submitBatch(std::move(reqs), want);
 
-    std::vector<SweepRecord> records(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        SweepRecord rec;
-        rec.family = *cells[i].inst->family;
-        rec.strategy = *cells[i].strategy;
-        rec.requestedSize = cells[i].inst->requestedSize;
-        rec.paramRow = cells[i].inst->paramRow;
+    // Lanes fill only their own record slot, so records are
+    // bit-identical at every lane count (and, by the cache invariant,
+    // at every cache configuration). Only FatalError means "does not
+    // fit"; anything else is parallelFor's first exception.
+    auto compile_cell = [&](std::size_t i, int) {
+        const SweepInstance &inst = instances[i / num_strategies];
+        SweepRecord &rec = records[i];
+        rec.family = *inst.family;
+        rec.strategy = spec.strategies[i % num_strategies];
+        rec.requestedSize = inst.requestedSize;
+        rec.paramRow = inst.paramRow;
         try {
-            const CompileArtifact res = handles[i].get();
-            rec.qubits = cells[i].inst->circuit.numQubits();
+            const CompileArtifact res =
+                service.compileSync(CompileRequest::forCircuit(
+                    inst.circuit, inst.device, rec.strategy, spec.config,
+                    spec.library));
+            rec.qubits = inst.circuit.numQubits();
             rec.metrics = res->metrics;
             rec.numCompressions =
                 static_cast<int>(res->compressions.size());
         } catch (const FatalError &) {
             rec.qubits = 0; // did not fit
         }
-        records[i] = std::move(rec);
-    }
+    };
+    std::optional<ThreadPool> own_pool;
+    ThreadPool *pool = ThreadPool::forRequest(
+        spec.threads >= 0 ? spec.threads : spec.config.threads, own_pool);
+    if (pool)
+        pool->parallelFor(0, records.size(), compile_cell);
+    else
+        for (std::size_t i = 0; i < records.size(); ++i)
+            compile_cell(i, 0);
+
     if (spec.serviceStats)
         *spec.serviceStats = service.stats();
     return records;

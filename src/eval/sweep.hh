@@ -64,8 +64,8 @@ struct SweepSpec
     std::vector<std::vector<double>> paramGrid;
 
     /** When set, receives a snapshot of the sweep-local service's
-     *  counters after the batch drains (template/exact hit rates --
-     *  how much of the grid was served without a full compile). */
+     *  counters after the last cell (template/exact hit rates -- how
+     *  much of the grid was served without a full compile). */
     ServiceStats *serviceStats = nullptr;
 };
 
@@ -74,16 +74,16 @@ struct SweepSpec
  * family are deduplicated, and strategies that cannot fit a circuit
  * are skipped (recorded with qubits = 0).
  *
- * The cell grid is submitted as one CompilerService batch over
- * spec.threads lanes; the service's context pool reuses warmed
- * distance fields across cells with the same device/library/config
- * pricing, and handles come back in request order — output ordering
- * and contents are identical at every lane count. Compiles running
- * inside the sweep are on pool workers, so a strategy's own fan-out
- * (ec, portfolio) degrades to inline execution rather than
- * oversubscribing the pool. runSweep is therefore a thin shim over
- * CompilerService; callers wanting cross-sweep artifact memoization
- * should drive a longer-lived service directly.
+ * The cell grid fans out with parallelFor over spec.threads lanes,
+ * every lane calling compileSync on one sweep-local CompilerService
+ * and filling only its own record slot; the service's context pool
+ * reuses warmed distance fields across cells with the same
+ * device/library/config pricing. Output ordering and contents are
+ * identical at every lane count. Compiles running inside the sweep
+ * are on pool lanes, so a strategy's own fan-out (ec, portfolio)
+ * degrades to inline execution rather than oversubscribing the pool.
+ * Callers wanting cross-sweep artifact memoization should drive a
+ * longer-lived service directly.
  */
 std::vector<SweepRecord> runSweep(const SweepSpec &spec);
 

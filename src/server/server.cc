@@ -195,7 +195,6 @@ QompressServer::stop()
                                      {{"Retry-After", "1"}}));
         ::close(fd);
     }
-    service_.drain();
     running_.store(false);
 }
 
@@ -495,12 +494,13 @@ QompressServer::handleCompile(const HttpRequest &req)
                "(registry family)");
     }
 
-    std::vector<CompileRequest> reqs;
-    std::vector<std::string> names;
-    reqs.reserve(circuits.size());
-    names.reserve(circuits.size());
+    // One compileSync per circuit on this worker thread: compile
+    // concurrency is the worker pool, so one network request never
+    // fans out under another, and a family batch stops at the first
+    // circuit that fails.
+    std::vector<std::string> rows;
+    rows.reserve(circuits.size());
     for (Circuit &c : circuits) {
-        names.push_back(req.method == "POST" ? "request" : c.name());
         CompileRequest r = [&] {
             if (!device.empty()) {
                 // Registered device: topology and calibration resolve
@@ -518,20 +518,10 @@ QompressServer::handleCompile(const HttpRequest &req)
                                               std::move(topo), strategy);
         }();
         r.fullCompile = fullCompile;
-        reqs.push_back(std::move(r));
-    }
-    const std::size_t n = reqs.size();
-
-    // Inline lanes (threads = 1): compile concurrency is the worker
-    // pool, so one network request never fans out under another.
-    std::vector<CompileHandle> handles =
-        service_.submitBatch(std::move(reqs), 1);
-
-    std::vector<std::string> rows;
-    rows.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const CompileArtifact art = handles[i].get(); // may rethrow
-        rows.push_back(resultJson(names[i], strategy, *art));
+        // POST bodies parse as "request"; registry circuits carry
+        // their family name (bv_8).
+        const CompileArtifact art = service_.compileSync(r);
+        rows.push_back(resultJson(r.circuit.name(), strategy, *art));
     }
 
     if (hasDeadline && elapsedMs(t0) > deadlineMs) {
@@ -540,7 +530,7 @@ QompressServer::handleCompile(const HttpRequest &req)
                    deadlineMs, elapsedMs(t0)));
     }
 
-    if (n == 1 && req.method == "POST")
+    if (req.method == "POST")
         return rows[0];
     return "{\"results\": [" + join(rows, ", ") + "]}";
 }

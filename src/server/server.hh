@@ -8,9 +8,9 @@
  * are shed with an immediate 503 (plus Retry-After) when the queue is
  * full — overload degrades to fast rejections, never to unbounded
  * memory or latency. Workers speak the HTTP/1.1 subset in
- * server/http.hh (keep-alive, Content-Length framing) and run
- * compiles inline through CompilerService::submitBatch, so the memo
- * tier, template tier, and context pool carry all network traffic and
+ * server/http.hh (keep-alive, Content-Length framing) and call
+ * CompilerService::compileSync once per circuit, so the memo tier,
+ * template tier, and context pool carry all network traffic and
  * compile concurrency equals the worker count.
  *
  * Endpoints:
@@ -20,8 +20,10 @@
  *                            topology + current calibration),
  *                            units, full (1 = bypass template tier),
  *                            deadline_ms
- *   GET  /compile            query: family, size or sizes=csv (batch),
- *                            plus the same knobs as POST
+ *   GET  /compile            query: family, size or sizes=csv (batch,
+ *                            compiled in order; the first failing
+ *                            size fails the request), plus the same
+ *                            knobs as POST
  *   GET  /devices            the device registry: units/edges/
  *                            calibrated/calVersion per device
  *   POST /devices/<name>/calibration
@@ -62,8 +64,9 @@
  * (a deterministic 504, used by tests); absent or negative = none.
  *
  * Shutdown: stop() closes the listen socket, answers every
- * still-queued connection with 503, lets in-flight requests finish
- * and deliver their responses, then drains the CompilerService. The
+ * still-queued connection with 503, and lets in-flight requests
+ * finish and deliver their responses. Compiles run on the workers
+ * themselves, so joining the workers leaves no compile behind. The
  * destructor calls stop().
  */
 

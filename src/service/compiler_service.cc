@@ -103,7 +103,7 @@ CompileRequest::forDevice(Circuit c, std::string device,
                           std::string strategy, CompilerConfig cfg,
                           GateLibrary lib)
 {
-    // The topology is a placeholder: compileImpl swaps in the
+    // The topology is a placeholder: compileSync swaps in the
     // registered device's topology (and calibration) before anything
     // reads it. CompileRequest has no unset-topology state because
     // Topology is not default-constructible.
@@ -112,17 +112,6 @@ CompileRequest::forDevice(Circuit c, std::string device,
                    std::move(cfg), std::move(lib));
     req.device = std::move(device);
     return req;
-}
-
-// ------------------------------------------------------------------
-// CompileHandle
-// ------------------------------------------------------------------
-
-CompileArtifact
-CompileHandle::get() const
-{
-    QPANIC_IF(!fut_.valid(), "get() on an empty CompileHandle");
-    return fut_.get();
 }
 
 // ------------------------------------------------------------------
@@ -140,105 +129,8 @@ CompilerService::CompilerService(ServiceOptions opts)
     }
 }
 
-CompilerService::~CompilerService()
-{
-    // Submitted tasks capture `this` and may be queued on the process
-    // global pool, which outlives the service; block until every one
-    // has run before members are torn down. (Service-owned pools_
-    // would drain their tasks on join anyway; the global pool is the
-    // case this wait exists for.)
-    drain();
-}
-
-void
-CompilerService::drain()
-{
-    std::unique_lock<std::mutex> lk(pendingMu_);
-    pendingCv_.wait(lk, [this] { return pending_ == 0; });
-}
-
 CompileArtifact
 CompilerService::compileSync(const CompileRequest &req)
-{
-    return compileImpl(req);
-}
-
-CompileHandle
-CompilerService::submit(CompileRequest req)
-{
-    return submitOn(poolFor(-1), std::move(req));
-}
-
-std::vector<CompileHandle>
-CompilerService::submitBatch(std::vector<CompileRequest> reqs, int threads)
-{
-    ThreadPool *pool = poolFor(threads);
-    std::vector<CompileHandle> handles;
-    handles.reserve(reqs.size());
-    for (auto &req : reqs)
-        handles.push_back(submitOn(pool, std::move(req)));
-    return handles;
-}
-
-CompileHandle
-CompilerService::submitOn(ThreadPool *pool, CompileRequest req)
-{
-    if (!pool) {
-        // Serial (or worker-nested) submission: run now, but still
-        // deliver failure through the handle so sync and async callers
-        // observe exceptions the same way.
-        std::promise<CompileArtifact> prom;
-        try {
-            prom.set_value(compileImpl(req));
-        } catch (...) {
-            prom.set_exception(std::current_exception());
-        }
-        return CompileHandle(prom.get_future().share());
-    }
-    {
-        std::lock_guard<std::mutex> lk(pendingMu_);
-        ++pending_;
-    }
-    auto task = [this, r = std::move(req)]() -> CompileArtifact {
-        // Count down whether the compile returns or throws, so the
-        // destructor's drain-wait can never hang.
-        struct Done
-        {
-            CompilerService *svc;
-            ~Done()
-            {
-                std::lock_guard<std::mutex> lk(svc->pendingMu_);
-                --svc->pending_;
-                svc->pendingCv_.notify_all();
-            }
-        } done{this};
-        return compileImpl(r);
-    };
-    return CompileHandle(pool->submit(std::move(task)).share());
-}
-
-ThreadPool *
-CompilerService::poolFor(int threads)
-{
-    int want = threads >= 0 ? threads : opts_.threads;
-    if (want <= 0)
-        want = ThreadPool::defaultThreadCount();
-    // Nested submission (a compile that itself talks to the service)
-    // degrades to inline execution, mirroring ThreadPool::forRequest:
-    // a worker blocking on the queue it drains would deadlock.
-    if (want <= 1 || ThreadPool::onWorkerThread())
-        return nullptr;
-    if (want == ThreadPool::defaultThreadCount())
-        return &ThreadPool::global();
-    std::lock_guard<std::mutex> lk(poolMu_);
-    auto &slot = pools_[want];
-    if (!slot)
-        slot = std::make_unique<ThreadPool>(want);
-    return slot.get();
-}
-
-CompileArtifact
-CompilerService::compileImpl(const CompileRequest &req)
 {
     // A by-name request resolves against the registry first: the
     // device's topology and CURRENT calibration replace the request's
@@ -253,7 +145,7 @@ CompilerService::compileImpl(const CompileRequest &req)
         resolved.device.clear();
         resolved.topology = std::move(dev.topology);
         resolved.config.calibration = std::move(dev.calibration);
-        return compileImpl(resolved);
+        return compileSync(resolved);
     }
 
     const Circuit &circuit = req.circuit;

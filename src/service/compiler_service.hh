@@ -10,8 +10,11 @@
  *  - CompileRequest: circuit + topology + strategy name +
  *    CompilerConfig + GateLibrary, all by value so requests are
  *    self-contained and content-addressable.
- *  - compileSync() / submit() / submitBatch(): synchronous and
- *    future-based asynchronous entry points over the shared ThreadPool.
+ *  - compileSync(): the one entry point. It compiles on the calling
+ *    thread and is safe to call concurrently; callers that want many
+ *    requests at once (runSweep's lanes, qompressd's connection
+ *    workers) bring their own threads, and identical requests in
+ *    flight at once coalesce onto one compile.
  *  - An artifact memo cache: an LRU keyed by canonical content
  *    fingerprints (circuit x topology x library x config x strategy)
  *    returning shared immutable CompileResults, with hit/miss/eviction
@@ -68,11 +71,10 @@
 #ifndef QOMPRESS_SERVICE_COMPILER_SERVICE_HH
 #define QOMPRESS_SERVICE_COMPILER_SERVICE_HH
 
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -80,10 +82,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include <chrono>
-
 #include "arch/device.hh"
-#include "common/thread_pool.hh"
 #include "compiler/pipeline.hh"
 #include "compiler/rebind.hh"
 #include "ir/serialize.hh"
@@ -171,35 +170,6 @@ struct CompileRequest
 /** Shared immutable compiled artifact. */
 using CompileArtifact = std::shared_ptr<const CompileResult>;
 
-/**
- * Future-based handle to one submitted request.
- *
- * Copyable (shared future). get() blocks until the compile finishes
- * and either returns the artifact or rethrows the compile's exception
- * (FatalError for circuits a strategy cannot fit, unknown strategy
- * names, ...). Handles become ready no later than the owning
- * service's destruction.
- */
-class CompileHandle
-{
-  public:
-    CompileHandle() = default;
-
-    /** Blocks; the artifact or the compile's exception. */
-    CompileArtifact get() const;
-
-    bool valid() const { return fut_.valid(); }
-
-  private:
-    friend class CompilerService;
-    explicit CompileHandle(std::shared_future<CompileArtifact> fut)
-        : fut_(std::move(fut))
-    {
-    }
-
-    std::shared_future<CompileArtifact> fut_;
-};
-
 /** Service construction knobs. */
 struct ServiceOptions
 {
@@ -244,14 +214,6 @@ struct ServiceOptions
     /** How long a degraded disk tier rests before one request
      *  half-opens the breaker with a health probe. */
     double storeCooldownMs = 1000.0;
-
-    /**
-     * Default lanes for submit()/submitBatch() request fan-out, in the
-     * CompilerConfig::threads convention (0 = process default, 1 =
-     * serial/inline, N = exactly N lanes). Results are identical at
-     * every setting; only latency changes.
-     */
-    int threads = 0;
 };
 
 /** Observable service state (one consistent snapshot). */
@@ -323,47 +285,21 @@ class CompilerService
 {
   public:
     explicit CompilerService(ServiceOptions opts = {});
-    ~CompilerService();
 
     CompilerService(const CompilerService &) = delete;
     CompilerService &operator=(const CompilerService &) = delete;
 
     /**
      * Compile now, on the calling thread. Returns the shared artifact
-     * (possibly memoized). Throws what the compile throws.
+     * (possibly memoized). Throws what the compile throws (FatalError
+     * for circuits a strategy cannot fit, unknown strategy names, ...).
+     * Safe to call from many threads at once; a request identical to
+     * one already compiling waits for that compile instead of
+     * repeating it.
      */
     CompileArtifact compileSync(const CompileRequest &req);
 
-    /**
-     * Enqueue one request on the service's lanes; returns immediately
-     * (when lanes exist) with a handle. Requests submitted from a pool
-     * worker, or when the service is serial, run inline and return a
-     * ready handle.
-     */
-    CompileHandle submit(CompileRequest req);
-
-    /**
-     * Submit a batch; handles are returned in request order.
-     *
-     * @param threads per-batch lane override: -1 (default) inherits
-     *        ServiceOptions::threads, otherwise the
-     *        CompilerConfig::threads convention. Handle results are
-     *        bit-identical at every setting.
-     */
-    std::vector<CompileHandle> submitBatch(std::vector<CompileRequest> reqs,
-                                           int threads = -1);
-
     ServiceStats stats() const;
-
-    /**
-     * Block until every submitted-but-unfinished request has run
-     * (successfully or not). Submissions arriving during the wait
-     * extend it; callers that want a terminal drain (the qompressd
-     * shutdown path) must stop submitting first. The destructor calls
-     * this, so drain() is the reusable half of the "handles are ready
-     * by destruction" guarantee.
-     */
-    void drain();
 
     /** Drop all memoized artifacts and pooled contexts (counters are
      *  retained; the disk store, if any, is deliberately untouched --
@@ -431,7 +367,6 @@ class CompilerService
     using TemplatePtr = std::shared_ptr<const CompiledTemplate>;
     using TemplateEntry = std::pair<RequestKey, TemplatePtr>;
 
-    CompileArtifact compileImpl(const CompileRequest &req);
     CompileArtifact compileUncached(const CompileRequest &req,
                                     std::uint64_t ctx_fp);
 
@@ -447,16 +382,10 @@ class CompilerService
     void noteStoreErrorLocked();
     void noteStoreSuccessLocked();
     /** @} */
-    CompileHandle submitOn(ThreadPool *pool, CompileRequest req);
     std::unique_ptr<PooledContext> acquireContext(const CompileRequest &req,
                                                   std::uint64_t ctx_fp);
     void releaseContext(std::unique_ptr<PooledContext> pc);
     void evictOverCapacityLocked();
-
-    /** Lanes -> pool: nullptr means run inline. Pools are created on
-     *  demand, owned by the service, and joined at destruction (which
-     *  is what guarantees every handle is ready by then). */
-    ThreadPool *poolFor(int threads);
 
     ServiceOptions opts_;
 
@@ -505,18 +434,6 @@ class CompilerService
     std::size_t bytesInUse_ = 0;
     std::uint64_t contextsCreated_ = 0;
     std::uint64_t contextsReused_ = 0;
-
-    std::mutex poolMu_; ///< guards pools_ (never held with mu_)
-    std::map<int, std::unique_ptr<ThreadPool>> pools_;
-
-    /** Enqueued-but-unfinished submits. Tasks may run on the process
-     *  global pool (which the service does not own), so the
-     *  destructor blocks until this drains — that is what makes the
-     *  "handles are ready by destruction" guarantee hold for every
-     *  pool a task can land on. */
-    std::mutex pendingMu_;
-    std::condition_variable pendingCv_;
-    std::size_t pending_ = 0;
 };
 
 } // namespace qompress

@@ -69,15 +69,15 @@ class CompressionStrategy
      * its own context).
      *
      * @param ctx optional caller-owned context built over the same
-     *        topo/lib/cfg pricing; parallel sweeps (eval/sweep.cc)
-     *        pass one per lane so the expanded graph, cost model, and
-     *        warmed distance fields are reused across the lane's
-     *        cells instead of being re-derived per compile. Single
-     *        writer: never share one across concurrent compiles. The
-     *        cache invariant (caching never changes what a compile
-     *        emits) keeps results independent of whether and how a
-     *        context is reused. When null, a compile-local context is
-     *        built.
+     *        topo/lib/cfg pricing; CompilerService passes one from its
+     *        context pool and the portfolio passes one per lane, so
+     *        the expanded graph, cost model, and warmed distance
+     *        fields are reused across compiles instead of being
+     *        re-derived. Single writer: never share one across
+     *        concurrent compiles. The cache invariant (caching never
+     *        changes what a compile emits) keeps results independent
+     *        of whether and how a context is reused. When null, a
+     *        compile-local context is built.
      */
     virtual CompileResult compile(const Circuit &circuit,
                                   const Topology &topo,

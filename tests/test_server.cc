@@ -238,6 +238,21 @@ TEST(Server, FamilyBatchOverGet)
     EXPECT_NE(body.find("\"results\""), std::string::npos);
     EXPECT_NE(body.find("bv_8"), std::string::npos);
     EXPECT_NE(body.find("bv_10"), std::string::npos);
+
+    // A batch stops at its first failing size: bv_10 cannot fit six
+    // qubit-only units, so the request is a 400 and bv_4 never reaches
+    // the service.
+    const ServiceStats before = fx.server->service().stats();
+    ASSERT_TRUE(c.request(
+        get("/compile?family=bv&sizes=10,4&units=6&strategy=qubit_only"),
+        status, body));
+    EXPECT_EQ(status, 400);
+    EXPECT_NE(body.find("\"type\": \"fatal\""), std::string::npos) << body;
+    const ServiceStats after = fx.server->service().stats();
+    EXPECT_EQ(after.requests, before.requests + 1);
+    EXPECT_EQ(after.requests, after.hits + after.templateHits +
+                                  after.diskHits + after.misses +
+                                  after.coalesced);
 }
 
 TEST(Server, MalformedQasmIsStructured400AndServerKeepsServing)

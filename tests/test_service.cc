@@ -6,10 +6,10 @@
  * must equal a direct CompressionStrategy::compile of the same inputs
  * -- compiled gates, metrics, compressions, layouts -- for every
  * standard strategy on ring/grid/heavyHex65, across {cache on/off} x
- * {1, 2, 8 lanes} x {sync, async batch}. The rest covers the memo
- * cache (hit rates, LRU eviction, capacity knob, shared artifacts),
- * the context pool, the structured unknown-strategy error, and the
- * strategy-registry round trip.
+ * {serial, 2 and 8 concurrent callers}. The rest covers the memo
+ * cache (hit rates, LRU eviction, capacity knob, shared artifacts,
+ * coalesced concurrent duplicates), the context pool, the structured
+ * unknown-strategy error, and the strategy-registry round trip.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "circuits/bv.hh"
 #include "circuits/registry.hh"
 #include "common/error.hh"
+#include "common/thread_pool.hh"
 #include "ir/passes.hh"
 #include "ir/serialize.hh"
 #include "service/artifact_store.hh"
@@ -98,10 +99,23 @@ testTopologies()
     return topos;
 }
 
+/** Serve @p reqs from @p lanes concurrent callers of one service
+ *  (1 = serially); artifacts come back in request order. */
+std::vector<CompileArtifact>
+compileFromLanes(CompilerService &service,
+                 const std::vector<CompileRequest> &reqs, int lanes)
+{
+    std::vector<CompileArtifact> arts(reqs.size());
+    ThreadPool(lanes).parallelFor(
+        0, reqs.size(),
+        [&](std::size_t i, int) { arts[i] = service.compileSync(reqs[i]); });
+    return arts;
+}
+
 /**
  * The acceptance matrix: every standard strategy on ring/grid/
- * heavyHex65, service vs direct, across cache configuration, lane
- * count, and sync/async entry points.
+ * heavyHex65, service vs direct, across cache configuration and the
+ * number of concurrent callers.
  */
 TEST(ServiceIdentity, MatchesDirectCompileEverywhere)
 {
@@ -128,28 +142,17 @@ TEST(ServiceIdentity, MatchesDirectCompileEverywhere)
         for (int lanes : {1, 2, 8}) {
             ServiceOptions opts;
             opts.cacheCapacity = cache_cap;
-            opts.threads = lanes;
             CompilerService service(opts);
-
-            // Sync, one request at a time.
-            for (std::size_t i = 0; i < reqs.size(); ++i) {
-                const CompileArtifact art = service.compileSync(reqs[i]);
-                EXPECT_TRUE(sameResult(*art, direct[i],
-                                       circuit.numQubits()))
-                    << "sync cache=" << cache_cap << " lanes=" << lanes
-                    << " req=" << i;
-            }
-
-            // Async batch (same service: with the cache on these are
-            // warm; with it off they recompile -- both must match).
-            auto handles = service.submitBatch(reqs, lanes);
-            ASSERT_EQ(handles.size(), reqs.size());
-            for (std::size_t i = 0; i < handles.size(); ++i) {
-                const CompileArtifact art = handles[i].get();
-                EXPECT_TRUE(sameResult(*art, direct[i],
-                                       circuit.numQubits()))
-                    << "batch cache=" << cache_cap << " lanes=" << lanes
-                    << " req=" << i;
+            // Cold, then again on the same service (warm with the
+            // cache on, recompiled with it off) -- both must match.
+            for (int pass = 0; pass < 2; ++pass) {
+                const auto arts = compileFromLanes(service, reqs, lanes);
+                for (std::size_t i = 0; i < reqs.size(); ++i) {
+                    EXPECT_TRUE(sameResult(*arts[i], direct[i],
+                                           circuit.numQubits()))
+                        << "cache=" << cache_cap << " lanes=" << lanes
+                        << " pass=" << pass << " req=" << i;
+                }
             }
         }
     }
@@ -294,18 +297,15 @@ TEST(ServiceContextPool, DisabledPoolBuildsColdContexts)
     EXPECT_EQ(s.pooledContexts, 0u);
 }
 
-TEST(ServiceRequests, DuplicateBatchSharesOneArtifact)
+TEST(ServiceRequests, ConcurrentDuplicatesShareOneArtifact)
 {
-    const Topology topo = Topology::grid(6);
-    ServiceOptions opts;
-    opts.threads = 8;
-    CompilerService service(opts);
-    std::vector<CompileRequest> reqs(
-        4, CompileRequest::forCircuit(bernsteinVazirani(6), topo, "eqm"));
-    auto handles = service.submitBatch(std::move(reqs));
+    CompilerService service;
+    const std::vector<CompileRequest> reqs(
+        4, CompileRequest::forCircuit(bernsteinVazirani(6),
+                                      Topology::grid(6), "eqm"));
     std::set<const CompileResult *> distinct;
-    for (const auto &h : handles)
-        distinct.insert(h.get().get());
+    for (const CompileArtifact &art : compileFromLanes(service, reqs, 8))
+        distinct.insert(art.get());
     EXPECT_EQ(distinct.size(), 1u);
     // Whatever the interleaving, every request is accounted for as
     // exactly one of miss (the compiling owner), coalesced (waited on
@@ -313,30 +313,6 @@ TEST(ServiceRequests, DuplicateBatchSharesOneArtifact)
     ServiceStats s = service.stats();
     EXPECT_EQ(s.misses + s.coalesced + s.hits, 4u);
     EXPECT_EQ(s.misses, 1u);
-}
-
-TEST(ServiceRequests, HandlesReadyByServiceDestruction)
-{
-    // Tasks may land on the process-global pool, which outlives the
-    // service; the destructor must drain them so a handle outliving
-    // its service is always ready (never a dangling `this` capture).
-    const Topology topo = Topology::grid(6);
-    std::vector<CompileHandle> handles;
-    {
-        ServiceOptions opts;
-        opts.threads = 0; // process default: the global pool if > 1
-        CompilerService service(opts);
-        std::vector<CompileRequest> reqs;
-        for (const auto &name : {"eqm", "rb", "awe", "pp"})
-            reqs.push_back(CompileRequest::forCircuit(
-                bernsteinVazirani(6), topo, name));
-        handles = service.submitBatch(std::move(reqs));
-        // Service destroyed here with handles still un-waited.
-    }
-    for (const auto &h : handles) {
-        ASSERT_TRUE(h.valid());
-        EXPECT_NE(h.get(), nullptr);
-    }
 }
 
 TEST(ServiceErrors, UnknownStrategyListsValidNames)
@@ -353,14 +329,11 @@ TEST(ServiceErrors, UnknownStrategyListsValidNames)
                 << "error message should list '" << name << "'";
     }
 
-    // The same structured error surfaces through both service entry
-    // points.
+    // The same structured error surfaces through the service.
     CompilerService service;
     const auto req = CompileRequest::forCircuit(
         bernsteinVazirani(4), Topology::grid(4), "nope");
     EXPECT_THROW(service.compileSync(req), FatalError);
-    auto handle = service.submit(req);
-    EXPECT_THROW(handle.get(), FatalError);
     // Failures are not cached.
     EXPECT_EQ(service.stats().cacheSize, 0u);
 }

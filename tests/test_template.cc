@@ -21,6 +21,7 @@
 #include "circuits/qaoa.hh"
 #include "circuits/registry.hh"
 #include "common/error.hh"
+#include "common/thread_pool.hh"
 #include "compiler/rebind.hh"
 #include "eval/sweep.hh"
 #include "ir/fingerprint.hh"
@@ -87,6 +88,19 @@ sameResult(const CompileResult &a, const CompileResult &b,
                     num_qubits))
         return ::testing::AssertionFailure() << "layouts differ";
     return ::testing::AssertionSuccess();
+}
+
+/** Serve @p reqs from @p lanes concurrent callers of one service
+ *  (1 = serially); artifacts come back in request order. */
+std::vector<CompileArtifact>
+compileFromLanes(CompilerService &service,
+                 const std::vector<CompileRequest> &reqs, int lanes)
+{
+    std::vector<CompileArtifact> arts(reqs.size());
+    ThreadPool(lanes).parallelFor(
+        0, reqs.size(),
+        [&](std::size_t i, int) { arts[i] = service.compileSync(reqs[i]); });
+    return arts;
 }
 
 std::vector<Topology>
@@ -248,9 +262,7 @@ TEST(ServiceTemplateTier, ServesAngleVariantsByRebindEverywhere)
 
     for (const auto &topo : testTopologies()) {
         for (int lanes : {1, 2, 8}) {
-            ServiceOptions opts;
-            opts.threads = lanes;
-            CompilerService service(opts);
+            CompilerService service;
             std::uint64_t expect_hits = 0;
             for (const auto &strat : standardStrategies()) {
                 CompileResult direct_b, direct_c;
@@ -261,20 +273,22 @@ TEST(ServiceTemplateTier, ServesAngleVariantsByRebindEverywhere)
                     continue;
                 }
                 // Warm the template with one full compile, then let
-                // the variants race across the batch lanes.
+                // the variants race across the lanes.
                 service.compileSync(CompileRequest::forCircuit(
                     a, topo, strat->name(), cfg, lib));
-                auto handles = service.submitBatch(
+                const auto arts = compileFromLanes(
+                    service,
                     {CompileRequest::forCircuit(b, topo, strat->name(),
                                                 cfg, lib),
                      CompileRequest::forCircuit(c, topo, strat->name(),
-                                                cfg, lib)});
+                                                cfg, lib)},
+                    lanes);
                 expect_hits += 2;
-                EXPECT_TRUE(sameResult(*handles[0].get(), direct_b,
+                EXPECT_TRUE(sameResult(*arts[0], direct_b,
                                        b.numQubits()))
                     << strat->name() << " on " << topo.name() << " at "
                     << lanes << " lanes";
-                EXPECT_TRUE(sameResult(*handles[1].get(), direct_c,
+                EXPECT_TRUE(sameResult(*arts[1], direct_c,
                                        c.numQubits()))
                     << strat->name() << " on " << topo.name() << " at "
                     << lanes << " lanes";

@@ -45,8 +45,7 @@
  *
  * SIGINT/SIGTERM trigger a graceful shutdown: flip /healthz to
  * draining, wait the drain grace, stop accepting, answer queued
- * connections with 503, finish in-flight compiles, drain the service,
- * exit 0.
+ * connections with 503, finish in-flight compiles, exit 0.
  */
 
 #include <chrono>
