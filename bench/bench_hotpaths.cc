@@ -57,17 +57,16 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
+#include <iterator>
 #include <new>
 #include <optional>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -136,23 +135,23 @@ void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 namespace {
 
 using namespace qompress;
-using Clock = std::chrono::steady_clock;
+using bench::Checks;
+using bench::Report;
+using bench::SectionTimer;
+using bench::speedup;
 
-double
-secondsSince(Clock::time_point t0)
+/** The lane counts every fan-out section sweeps. */
+constexpr int kLanes[] = {1, 2, 4, 8};
+
+/** Lane part of a fan-out metric name: "serial" or "t<lanes>". */
+std::string
+laneName(int lanes)
 {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
+    return lanes == 1 ? "serial" : "t" + std::to_string(lanes);
 }
 
-struct SimResult
-{
-    double optimized_ms;
-    double naive_ms;
-    double max_diff;
-};
-
-SimResult
-benchStatevector(int reps)
+void
+benchStatevector(int reps, Report &rep, Checks &checks)
 {
     Rng rng(12345);
     const std::vector<int> dims = {4, 2, 4, 2, 4, 2, 4, 2, 4, 2};
@@ -162,32 +161,31 @@ benchStatevector(int reps)
     MixedRadixState fast = bench::randomState(dims, rng);
     MixedRadixState slow = fast;
 
-    const auto t0 = Clock::now();
-    for (int r = 0; r < reps; ++r)
-        for (const auto &g : gates)
-            fast.applyUnitary(g.units, g.u);
-    const double opt_s = secondsSince(t0);
+    SectionTimer opt, naive;
+    for (int r = 0; r < reps; ++r) {
+        opt.time([&] {
+            for (const auto &g : gates)
+                fast.applyUnitary(g.units, g.u);
+        });
+    }
+    for (int r = 0; r < reps; ++r) {
+        naive.time([&] {
+            for (const auto &g : gates)
+                slow.applyUnitaryNaive(g.units, g.u);
+        });
+    }
 
-    const auto t1 = Clock::now();
-    for (int r = 0; r < reps; ++r)
-        for (const auto &g : gates)
-            slow.applyUnitaryNaive(g.units, g.u);
-    const double naive_s = secondsSince(t1);
-
-    return {1e3 * opt_s / reps, 1e3 * naive_s / reps,
-            bench::maxAmpDiff(fast, slow)};
+    const double max_diff = bench::maxAmpDiff(fast, slow);
+    rep.add("statevector_apply_ms", opt.ms());
+    rep.add("statevector_naive_ms", naive.ms());
+    rep.add("statevector_speedup", speedup(naive.ms(), opt.ms()), "%.3f");
+    rep.add("statevector_max_diff", max_diff, "%.3e");
+    checks.expect(max_diff <= 1e-10,
+                  "applyUnitary agrees with naive kernel to 1e-10");
 }
 
-struct GrapeBenchResult
-{
-    double optimized_ms;
-    double naive_ms;
-    double max_grad_diff;
-    std::uint64_t warm_allocs;
-};
-
-GrapeBenchResult
-benchGrape(int reps)
+void
+benchGrape(int reps, Report &rep, Checks &checks)
 {
     std::vector<int> dims;
     const CMatrix target = namedTarget("CX2", dims);
@@ -219,15 +217,16 @@ benchGrape(int reps)
     grape.objectiveAndGradient(controls, grad, fid, leak, ws);
     const std::uint64_t warm_allocs = t_alloc_count - before;
 
-    const auto t0 = Clock::now();
+    SectionTimer opt, naive;
     for (int r = 0; r < reps; ++r)
-        grape.objectiveAndGradient(controls, grad, fid, leak, ws);
-    const double opt_s = secondsSince(t0);
-
-    const auto t1 = Clock::now();
+        opt.time([&] {
+            grape.objectiveAndGradient(controls, grad, fid, leak, ws);
+        });
     for (int r = 0; r < reps; ++r)
-        grape.objectiveAndGradientNaive(controls, grad_naive, fid, leak);
-    const double naive_s = secondsSince(t1);
+        naive.time([&] {
+            grape.objectiveAndGradientNaive(controls, grad_naive, fid,
+                                            leak);
+        });
 
     double worst = 0.0;
     for (std::size_t k = 0; k < grad.size(); ++k)
@@ -235,17 +234,17 @@ benchGrape(int reps)
             worst = std::max(worst,
                              std::abs(grad[k][j] - grad_naive[k][j]));
 
-    return {1e3 * opt_s / reps, 1e3 * naive_s / reps, worst,
-            warm_allocs};
+    rep.add("grape_gradient_ms", opt.ms());
+    rep.add("grape_gradient_naive_ms", naive.ms());
+    rep.add("grape_speedup", speedup(naive.ms(), opt.ms()), "%.3f");
+    rep.add("grape_max_grad_diff", worst, "%.3e");
+    rep.add("grape_warm_allocs", warm_allocs);
+    checks.expect(worst <= 1e-10,
+                  "GRAPE gradient agrees with naive reference to 1e-10");
+    checks.expect(warm_allocs == 0,
+                  "warm GRAPE gradient step performs zero heap "
+                  "allocations");
 }
-
-struct RouteBenchResult
-{
-    double cached_ms;
-    double uncached_ms;
-    bool identical;
-    std::uint64_t gates;
-};
 
 bool
 sameGates(const CompiledCircuit &a, const CompiledCircuit &b)
@@ -266,8 +265,8 @@ sameGates(const CompiledCircuit &a, const CompiledCircuit &b)
     return true;
 }
 
-RouteBenchResult
-benchRouting(int reps)
+void
+benchRouting(int reps, Report &rep, Checks &checks)
 {
     const Circuit bv = decomposeToNativeGates(bernsteinVazirani(20));
     const Topology topo = Topology::grid(20);
@@ -292,33 +291,22 @@ benchRouting(int reps)
         return out;
     };
 
-    const auto t0 = Clock::now();
-    CompiledCircuit cached_out;
+    SectionTimer cached, uncached;
+    CompiledCircuit cached_out, uncached_out;
     for (int r = 0; r < reps; ++r)
-        cached_out = route(cached_opts);
-    const double cached_s = secondsSince(t0);
-
-    const auto t1 = Clock::now();
-    CompiledCircuit uncached_out;
+        cached.time([&] { cached_out = route(cached_opts); });
     for (int r = 0; r < reps; ++r)
-        uncached_out = route(uncached_opts);
-    const double uncached_s = secondsSince(t1);
+        uncached.time([&] { uncached_out = route(uncached_opts); });
 
-    return {1e3 * cached_s / reps, 1e3 * uncached_s / reps,
-            sameGates(cached_out, uncached_out),
-            static_cast<std::uint64_t>(cached_out.numGates())};
+    const bool identical = sameGates(cached_out, uncached_out);
+    rep.add("route_bv20_cached_ms", cached.ms());
+    rep.add("route_bv20_uncached_ms", uncached.ms());
+    rep.add("route_speedup", speedup(uncached.ms(), cached.ms()), "%.3f");
+    rep.add("route_gates", static_cast<std::uint64_t>(cached_out.numGates()));
+    rep.add("route_identical", identical);
+    checks.expect(identical,
+                  "cached and uncached routing emit identical circuits");
 }
-
-struct QaoaHhBenchResult
-{
-    double cached_ms;
-    double uncached_ms;
-    bool identical;
-    std::uint64_t gates;
-    std::uint64_t cache_hits;
-    std::uint64_t cache_misses;
-    std::uint64_t cache_revalidations;
-};
 
 /**
  * The deep communication workload: mapping + routing of p-round
@@ -329,8 +317,8 @@ struct QaoaHhBenchResult
  * between mapping and routing; uncached runs recompute every Dijkstra
  * field.
  */
-QaoaHhBenchResult
-benchQaoaHeavyHex(int reps, int rounds)
+void
+benchQaoaHeavyHex(int reps, int rounds, Report &rep, Checks &checks)
 {
     const Circuit qaoa =
         decomposeToNativeGates(qaoaHeavyHex(40, rounds));
@@ -364,17 +352,12 @@ benchQaoaHeavyHex(int reps, int rounds)
         return out;
     };
 
-    const auto t0 = Clock::now();
-    CompiledCircuit cached_out;
+    SectionTimer cached, uncached;
+    CompiledCircuit cached_out, uncached_out;
     for (int r = 0; r < reps; ++r)
-        cached_out = run(true, r == 0);
-    const double cached_s = secondsSince(t0);
-
-    const auto t1 = Clock::now();
-    CompiledCircuit uncached_out;
+        cached.time([&] { cached_out = run(true, r == 0); });
     for (int r = 0; r < reps; ++r)
-        uncached_out = run(false, false);
-    const double uncached_s = secondsSince(t1);
+        uncached.time([&] { uncached_out = run(false, false); });
 
     bool identical = sameGates(cached_out, uncached_out);
     for (QubitId q = 0; identical && q < qaoa.numQubits(); ++q) {
@@ -382,20 +365,20 @@ benchQaoaHeavyHex(int reps, int rounds)
                     uncached_out.finalLayout().slotOf(q);
     }
 
-    return {1e3 * cached_s / reps, 1e3 * uncached_s / reps, identical,
-            static_cast<std::uint64_t>(cached_out.numGates()), hits,
-            misses, revalidations};
+    rep.add("qaoa_hh_cached_ms", cached.ms());
+    rep.add("qaoa_hh_uncached_ms", uncached.ms());
+    rep.add("qaoa_hh_speedup", speedup(uncached.ms(), cached.ms()),
+            "%.3f");
+    rep.add("qaoa_hh_gates",
+            static_cast<std::uint64_t>(cached_out.numGates()));
+    rep.add("qaoa_hh_cache_hits", hits);
+    rep.add("qaoa_hh_cache_misses", misses);
+    rep.add("qaoa_hh_cache_revalidations", revalidations);
+    rep.add("qaoa_hh_identical", identical);
+    checks.expect(identical,
+                  "partial-invalidation cached and uncached QAOA/heavy-hex "
+                  "mapping+routing emit identical circuits");
 }
-
-struct ExhaustiveBenchResult
-{
-    double serial_ms; // 1 lane
-    double t2_ms;
-    double t4_ms;
-    double t8_ms;
-    bool identical; // same pairing at every lane count
-    std::uint64_t pairs;
-};
 
 /**
  * The candidate-sweep workload: the exhaustive (ec) strategy on a
@@ -407,8 +390,8 @@ struct ExhaustiveBenchResult
  * approach 4x; pairings must be bit-identical at every lane count
  * (deterministic serial reduction over candidate scores).
  */
-ExhaustiveBenchResult
-benchExhaustive(int qubits)
+void
+benchExhaustive(int qubits, Report &rep, Checks &checks)
 {
     const Circuit qaoa =
         decomposeToNativeGates(qaoaFromGraph(randomGraph(qubits, 0.4, 11)));
@@ -421,13 +404,12 @@ benchExhaustive(int qubits)
         cfg.lookaheadWeight = 0.5;
         cfg.threads = lanes;
         CompileContext ctx(topo, lib, cfg);
-        const auto t0 = Clock::now();
-        auto pairs = ec.choosePairs(qaoa, topo, lib, cfg, ctx);
-        ms = 1e3 * secondsSince(t0);
+        std::vector<Compression> pairs;
+        ms = SectionTimer().time(
+            [&] { pairs = ec.choosePairs(qaoa, topo, lib, cfg, ctx); });
         return pairs;
     };
 
-    ExhaustiveBenchResult res{};
     // Discarded warmups: lanes=0 constructs and warms the process
     // pool (the one a run whose lane count equals the process default
     // will reuse) and lanes=8 pays allocator growth and cold caches on
@@ -436,27 +418,23 @@ benchExhaustive(int qubits)
     // differs from the process default still spawns its private pool
     // inside choosePairs — lanes-1 thread spawns, well under 1% of
     // the ~90 ms workload.
-    double warmup_ms = 0.0;
-    run(0, warmup_ms);
-    run(8, warmup_ms);
-    const auto p1 = run(1, res.serial_ms);
-    const auto p2 = run(2, res.t2_ms);
-    const auto p4 = run(4, res.t4_ms);
-    const auto p8 = run(8, res.t8_ms);
-    res.identical = p1 == p2 && p1 == p4 && p1 == p8;
-    res.pairs = static_cast<std::uint64_t>(p1.size());
-    return res;
+    double ms[std::size(kLanes)];
+    run(0, ms[0]);
+    run(8, ms[0]);
+    const auto serial = run(1, ms[0]);
+    bool identical = true;
+    rep.add("exhaustive_hh_serial_ms", ms[0]);
+    for (std::size_t i = 1; i < std::size(kLanes); ++i) {
+        identical = run(kLanes[i], ms[i]) == serial && identical;
+        rep.add("exhaustive_hh_" + laneName(kLanes[i]) + "_ms", ms[i]);
+    }
+    rep.add("exhaustive_hh_speedup_t4", speedup(ms[0], ms[2]), "%.3f");
+    rep.add("exhaustive_hh_pairs", static_cast<std::uint64_t>(serial.size()));
+    rep.add("exhaustive_hh_identical", identical);
+    checks.expect(identical,
+                  "exhaustive search chooses bit-identical pairings at "
+                  "1/2/4/8 lanes");
 }
-
-struct SweepBenchResult
-{
-    double serial_ms;
-    double t2_ms;
-    double t4_ms;
-    double t8_ms;
-    bool identical; // records bit-identical at every lane count
-    std::uint64_t cells;
-};
 
 bool
 sameRecords(const std::vector<SweepRecord> &a,
@@ -487,8 +465,8 @@ sameRecords(const std::vector<SweepRecord> &a,
  * 1/2/4/8 lanes. Cells land in pre-sized slots, so the records must
  * be bit-identical whatever the lane count.
  */
-SweepBenchResult
-benchSweep(int sizes_hi)
+void
+benchSweep(int sizes_hi, Report &rep, Checks &checks)
 {
     SweepSpec spec;
     spec.families = {"bv", "qaoa_random"};
@@ -498,13 +476,11 @@ benchSweep(int sizes_hi)
 
     auto run = [&](int lanes, double &ms) {
         spec.threads = lanes;
-        const auto t0 = Clock::now();
-        auto records = runSweep(spec);
-        ms = 1e3 * secondsSince(t0);
+        std::vector<SweepRecord> records;
+        ms = SectionTimer().time([&] { records = runSweep(spec); });
         return records;
     };
 
-    SweepBenchResult res{};
     // Discarded warm-up: pays allocator growth, cold code paths, and
     // (when 8 happens to be the process default) the global pool's
     // spawn. Lane counts that differ from the process default still
@@ -512,27 +488,22 @@ benchSweep(int sizes_hi)
     // lanes-1 thread spawns, which is real overhead the lane timings
     // deliberately include (it is what a caller of that lane count
     // pays per sweep).
-    double warmup_ms = 0.0;
-    run(8, warmup_ms);
-    const auto r1 = run(1, res.serial_ms);
-    const auto r2 = run(2, res.t2_ms);
-    const auto r4 = run(4, res.t4_ms);
-    const auto r8 = run(8, res.t8_ms);
-    res.identical = sameRecords(r1, r2) && sameRecords(r1, r4) &&
-                    sameRecords(r1, r8);
-    res.cells = static_cast<std::uint64_t>(r1.size());
-    return res;
+    double ms[std::size(kLanes)];
+    run(8, ms[0]);
+    const auto serial = run(1, ms[0]);
+    bool identical = true;
+    rep.add("sweep_serial_ms", ms[0]);
+    for (std::size_t i = 1; i < std::size(kLanes); ++i) {
+        identical = sameRecords(serial, run(kLanes[i], ms[i])) && identical;
+        rep.add("sweep_" + laneName(kLanes[i]) + "_ms", ms[i]);
+    }
+    rep.add("sweep_speedup_t4", speedup(ms[0], ms[2]), "%.3f");
+    rep.add("sweep_cells", static_cast<std::uint64_t>(serial.size()));
+    rep.add("sweep_identical", identical);
+    checks.expect(identical,
+                  "eval sweep emits bit-identical records at 1/2/4/8 "
+                  "lanes");
 }
-
-struct GrapeLanesBenchResult
-{
-    double serial_ms;
-    double t2_ms;
-    double t4_ms;
-    double t8_ms;
-    bool identical; // objective+gradient bit-identical across lanes
-    std::uint64_t warm_lane_allocs; // max per-lane allocs, warm call
-};
 
 /**
  * The per-segment GRAPE fan-out: the same CX2/40-segment gradient
@@ -541,8 +512,8 @@ struct GrapeLanesBenchResult
  * asserts the zero-alloc warm-iteration property holds for every
  * lane, not just the calling thread.
  */
-GrapeLanesBenchResult
-benchGrapeLanes(int reps)
+void
+benchGrapeLanes(int reps, Report &rep, Checks &checks)
 {
     std::vector<int> dims;
     const CMatrix target = namedTarget("CX2", dims);
@@ -562,11 +533,13 @@ benchGrapeLanes(int reps)
                 v = rng.nextDouble(-amp, amp);
     }
 
-    GrapeLanesBenchResult res{};
+    double ms[std::size(kLanes)];
+    bool identical = true;
+    std::uint64_t warm_lane_allocs = 0; // max per-lane allocs, warm call
     std::vector<std::vector<double>> grad_serial;
-    for (int lanes : {1, 2, 4, 8}) {
+    for (std::size_t i = 0; i < std::size(kLanes); ++i) {
         GrapeOptions opts;
-        opts.threads = lanes;
+        opts.threads = kLanes[i];
         GrapeOptimizer grape(system, target, 160.0, 40, opts);
         GrapeWorkspace ws;
         ws.allocProbe = [] { return t_alloc_count; };
@@ -576,40 +549,29 @@ benchGrapeLanes(int reps)
         // lets every lane touch (and size) its own scratch.
         grape.objectiveAndGradient(controls, grad, fid, leak, ws);
         grape.objectiveAndGradient(controls, grad, fid, leak, ws);
-        const auto t0 = Clock::now();
+        SectionTimer t;
         for (int r = 0; r < reps; ++r)
-            grape.objectiveAndGradient(controls, grad, fid, leak, ws);
-        const double ms = 1e3 * secondsSince(t0) / reps;
+            t.time([&] {
+                grape.objectiveAndGradient(controls, grad, fid, leak, ws);
+            });
+        ms[i] = t.ms();
+        rep.add("grape_seg_" + laneName(kLanes[i]) + "_ms", ms[i]);
         for (const auto allocs : ws.laneAllocs)
-            res.warm_lane_allocs = std::max(res.warm_lane_allocs,
-                                            allocs);
-        switch (lanes) {
-        case 1:
-            res.serial_ms = ms;
+            warm_lane_allocs = std::max(warm_lane_allocs, allocs);
+        if (i == 0)
             grad_serial = grad;
-            res.identical = true;
-            break;
-        case 2:
-            res.t2_ms = ms;
-            break;
-        case 4:
-            res.t4_ms = ms;
-            break;
-        default:
-            res.t8_ms = ms;
-            break;
-        }
-        res.identical = res.identical && grad == grad_serial;
+        identical = identical && grad == grad_serial;
     }
-    return res;
+    rep.add("grape_seg_speedup_t4", speedup(ms[0], ms[2]), "%.3f");
+    rep.add("grape_seg_warm_lane_allocs", warm_lane_allocs);
+    rep.add("grape_seg_identical", identical);
+    checks.expect(identical,
+                  "GRAPE objective+gradient is bit-identical at 1/2/4/8 "
+                  "lanes");
+    checks.expect(warm_lane_allocs == 0,
+                  "warm pooled GRAPE gradient step performs zero heap "
+                  "allocations on every lane");
 }
-
-struct PadeBenchResult
-{
-    double pade_ms;   // expmFamilyInto (Padé-13) over all segments
-    double taylor_ms; // expmFamilyIntoTaylor, same inputs
-    double max_diff;  // worst elementwise deviation, eA and every dU
-};
 
 /**
  * The pulse-kernel microbench: one GRAPE sweep's worth of segment
@@ -617,8 +579,8 @@ struct PadeBenchResult
  * the Padé-13 production kernel vs the retained Taylor
  * scaling-and-squaring reference.
  */
-PadeBenchResult
-benchPade(int reps)
+void
+benchPade(int reps, Report &rep, Checks &checks)
 {
     std::vector<int> dims;
     const CMatrix target = namedTarget("CX2", dims);
@@ -644,45 +606,45 @@ benchPade(int reps)
     ExpmFamilyWorkspace ws;
     CMatrix eA, eA_ref;
     std::vector<CMatrix> ds, ds_ref;
-    PadeBenchResult res{};
+    double max_diff = 0.0; // worst elementwise deviation, eA and every dU
     for (const auto &a : agens) { // warm both paths and diff them
         expmFamilyInto(eA, ds, a, bgen, ws);
         expmFamilyIntoTaylor(eA_ref, ds_ref, a, bgen, ws);
         for (int r = 0; r < eA.rows(); ++r)
             for (int c = 0; c < eA.cols(); ++c)
-                res.max_diff = std::max(
-                    res.max_diff, std::abs(eA(r, c) - eA_ref(r, c)));
+                max_diff =
+                    std::max(max_diff, std::abs(eA(r, c) - eA_ref(r, c)));
         for (std::size_t k = 0; k < ds.size(); ++k)
             for (int r = 0; r < eA.rows(); ++r)
                 for (int c = 0; c < eA.cols(); ++c)
-                    res.max_diff = std::max(
-                        res.max_diff,
-                        std::abs(ds[k](r, c) - ds_ref[k](r, c)));
+                    max_diff = std::max(
+                        max_diff, std::abs(ds[k](r, c) - ds_ref[k](r, c)));
     }
 
-    const auto t0 = Clock::now();
+    SectionTimer pade, taylor;
     for (int r = 0; r < reps; ++r)
-        for (const auto &a : agens)
-            expmFamilyInto(eA, ds, a, bgen, ws);
-    res.pade_ms = 1e3 * secondsSince(t0) / reps;
+        pade.time([&] {
+            for (const auto &a : agens)
+                expmFamilyInto(eA, ds, a, bgen, ws);
+        });
+    for (int r = 0; r < reps; ++r)
+        taylor.time([&] {
+            for (const auto &a : agens)
+                expmFamilyIntoTaylor(eA_ref, ds_ref, a, bgen, ws);
+        });
 
-    const auto t1 = Clock::now();
-    for (int r = 0; r < reps; ++r)
-        for (const auto &a : agens)
-            expmFamilyIntoTaylor(eA_ref, ds_ref, a, bgen, ws);
-    res.taylor_ms = 1e3 * secondsSince(t1) / reps;
-    return res;
+    const double pade_speedup = speedup(taylor.ms(), pade.ms());
+    rep.add("expm_pade_ms", pade.ms());
+    rep.add("expm_taylor_ms", taylor.ms());
+    rep.add("expm_pade_speedup", pade_speedup, "%.3f");
+    rep.add("expm_pade_max_diff", max_diff, "%.3e");
+    checks.expect(max_diff <= 1e-12,
+                  "Pade-13 family exponential matches the Taylor "
+                  "reference to 1e-12");
+    checks.expect(pade_speedup >= 1.15,
+                  "Pade-13 family exponential beats the Taylor reference "
+                  "by >= 1.15x");
 }
-
-struct ServiceBenchResult
-{
-    double cold_t1_ms, cold_t2_ms, cold_t4_ms, cold_t8_ms;
-    double warm_t1_ms, warm_t2_ms, warm_t4_ms, warm_t8_ms;
-    bool identical; // service artifacts == direct strategy compiles
-    std::uint64_t requests; // distinct requests per pass
-    std::uint64_t hits;     // memo hits observed at 1 lane
-    std::uint64_t misses;   // memo misses observed at 1 lane
-};
 
 /** Warm passes must beat cold ones at least this much (they skip the
  *  whole pipeline: a warm request is request fingerprinting plus one
@@ -732,8 +694,8 @@ serveFromLanes(CompilerService &service, ThreadPool *pool,
  * every lane count, and the warm pass must beat the cold one by the
  * memo cache's expected margin.
  */
-ServiceBenchResult
-benchService(int reps, int sizes_hi)
+void
+benchService(int reps, int sizes_hi, Report &rep, Checks &checks)
 {
     const GateLibrary lib;
     CompilerConfig cfg;
@@ -754,81 +716,63 @@ benchService(int reps, int sizes_hi)
         }
     }
 
-    ServiceBenchResult res{};
-    res.identical = true;
-    res.requests = static_cast<std::uint64_t>(reqs.size());
-    for (int lanes : {1, 2, 4, 8}) {
+    bool identical = true;
+    double cold_t1_ms = 0.0, warm_t1_ms = 0.0;
+    ServiceStats stats_t1; // memo counters observed at 1 lane
+    for (const int lanes : kLanes) {
         CompilerService service;
         std::optional<ThreadPool> own_pool;
         ThreadPool *pool = ThreadPool::forRequest(lanes, own_pool);
 
-        auto run_pass = [&](double &ms_acc,
-                            std::vector<CompileArtifact> *out) {
-            const auto t0 = Clock::now();
-            serveFromLanes(service, pool, reqs, out);
-            ms_acc += 1e3 * secondsSince(t0);
-        };
-
         // Discarded warm-up: grows the allocator and populates the
         // memo once.
-        double discard = 0.0;
-        run_pass(discard, nullptr);
+        serveFromLanes(service, pool, reqs, nullptr);
 
-        double cold_ms = 0.0, warm_ms = 0.0;
+        SectionTimer cold, warm;
         std::vector<CompileArtifact> artifacts(reqs.size());
-        // Warm passes are microseconds; batch them per cold rep so the
-        // timer sees a stable window.
+        // Warm passes are microseconds; run many per cold rep so the
+        // mean sees a stable window.
         const int warm_iters = 20;
         for (int r = 0; r < reps; ++r) {
             service.clearCache(); // drop artifacts AND pooled contexts
-            run_pass(cold_ms, r == 0 ? &artifacts : nullptr);
-            double warm_acc = 0.0;
+            cold.time([&] {
+                serveFromLanes(service, pool, reqs,
+                               r == 0 ? &artifacts : nullptr);
+            });
             for (int w = 0; w < warm_iters; ++w)
-                run_pass(warm_acc, nullptr);
-            warm_ms += warm_acc / warm_iters;
+                warm.time(
+                    [&] { serveFromLanes(service, pool, reqs, nullptr); });
         }
-        cold_ms /= reps;
-        warm_ms /= reps;
 
         for (std::size_t i = 0; i < artifacts.size(); ++i) {
-            res.identical = res.identical &&
-                            sameCompileResults(*artifacts[i], direct[i]);
+            identical =
+                identical && sameCompileResults(*artifacts[i], direct[i]);
         }
-        switch (lanes) {
-        case 1: {
-            res.cold_t1_ms = cold_ms;
-            res.warm_t1_ms = warm_ms;
-            const ServiceStats stats = service.stats();
-            res.hits = stats.hits;
-            res.misses = stats.misses;
-            break;
-        }
-        case 2:
-            res.cold_t2_ms = cold_ms;
-            res.warm_t2_ms = warm_ms;
-            break;
-        case 4:
-            res.cold_t4_ms = cold_ms;
-            res.warm_t4_ms = warm_ms;
-            break;
-        default:
-            res.cold_t8_ms = cold_ms;
-            res.warm_t8_ms = warm_ms;
-            break;
+        const std::string t = "_t" + std::to_string(lanes) + "_ms";
+        rep.add("service_cold" + t, cold.ms());
+        rep.add("service_warm" + t, warm.ms());
+        if (lanes == 1) {
+            cold_t1_ms = cold.ms();
+            warm_t1_ms = warm.ms();
+            stats_t1 = service.stats();
         }
     }
-    return res;
+    const double warm_speedup = speedup(cold_t1_ms, warm_t1_ms);
+    rep.add("service_warm_speedup", warm_speedup, "%.3f");
+    rep.add("service_requests", static_cast<std::uint64_t>(reqs.size()));
+    rep.add("service_hits", stats_t1.hits);
+    rep.add("service_misses", stats_t1.misses);
+    rep.add("service_identical", identical);
+    checks.expect(identical,
+                  "CompilerService artifacts are bit-identical to direct "
+                  "strategy compiles at 1/2/4/8 lanes");
+    checks.expect(stats_t1.hits > 0 && stats_t1.misses > 0,
+                  "service memo cache observed both misses (cold) and "
+                  "hits (warm)");
+    checks.expect(warm_speedup >= kServiceWarmMargin,
+                  "warm (memoized) service passes beat cold ones by >= "
+                  "the memo cache's expected margin");
 }
-
-struct TemplateBenchResult
-{
-    double cold_t1_ms, cold_t2_ms, cold_t4_ms, cold_t8_ms;
-    double rebind_t1_ms, rebind_t2_ms, rebind_t4_ms, rebind_t8_ms;
-    bool identical;         // rebound artifacts == full-compile artifacts
-    std::uint64_t angles;   // grid points per pass
-    std::uint64_t template_hits;   // tier counters observed at 1 lane
-    std::uint64_t template_misses;
-};
 
 /** A template rebind skips mapping, routing, and scheduling entirely
  *  (deep-copy + O(gates) parameter patch + metrics re-price), so it
@@ -847,8 +791,9 @@ constexpr double kTemplateRebindMargin = 10.0;
  * serves the entire grid from the template tier. Rebound artifacts
  * must be bit-identical to the full compiles of the same instances.
  */
-TemplateBenchResult
-benchTemplate(int reps, int rounds, int num_angles)
+void
+benchTemplate(int reps, int rounds, int num_angles, Report &rep,
+              Checks &checks)
 {
     const Circuit base = qaoaHeavyHex(40, rounds);
     const Topology topo = Topology::heavyHex65();
@@ -871,87 +816,68 @@ benchTemplate(int reps, int rounds, int num_angles)
         full_reqs.push_back(std::move(req));
     }
 
-    TemplateBenchResult res{};
-    res.identical = true;
-    res.angles = static_cast<std::uint64_t>(num_angles);
-    for (int lanes : {1, 2, 4, 8}) {
+    bool identical = true;
+    double cold_t1_ms = 0.0, rebind_t1_ms = 0.0;
+    ServiceStats stats_t1; // tier counters observed at 1 lane
+    for (const int lanes : kLanes) {
         CompilerService service;
         std::optional<ThreadPool> own_pool;
         ThreadPool *pool = ThreadPool::forRequest(lanes, own_pool);
 
-        auto run_pass = [&](const std::vector<CompileRequest> &reqs,
-                            double &ms_acc,
-                            std::vector<CompileArtifact> *out) {
-            const auto t0 = Clock::now();
-            serveFromLanes(service, pool, reqs, out);
-            ms_acc += 1e3 * secondsSince(t0);
-        };
-
         // Discarded warm-up: grows the allocator on the compile-heavy
         // path.
-        double discard = 0.0;
-        run_pass(full_reqs, discard, nullptr);
+        serveFromLanes(service, pool, full_reqs, nullptr);
 
-        double cold_ms = 0.0, rebind_ms = 0.0;
-        std::vector<CompileArtifact> cold(full_reqs.size());
+        SectionTimer cold, rebind;
+        std::vector<CompileArtifact> full(full_reqs.size());
         std::vector<CompileArtifact> rebound(rebind_reqs.size());
         for (int r = 0; r < reps; ++r) {
             // Cold: every grid point pays the full pipeline (the memo
             // was cleared, and fullCompile bypasses the templates).
             service.clearCache();
-            run_pass(full_reqs, cold_ms, r == 0 ? &cold : nullptr);
+            cold.time([&] {
+                serveFromLanes(service, pool, full_reqs,
+                               r == 0 ? &full : nullptr);
+            });
             // Rebind: one off-grid full compile plants the template
             // (untimed), then the whole grid rides it.
             service.clearCache();
             service.compileSync(CompileRequest::forCircuit(
                 exemplar, topo, strat, cfg, lib));
-            run_pass(rebind_reqs, rebind_ms,
-                     r == 0 ? &rebound : nullptr);
+            rebind.time([&] {
+                serveFromLanes(service, pool, rebind_reqs,
+                               r == 0 ? &rebound : nullptr);
+            });
         }
-        cold_ms /= reps;
-        rebind_ms /= reps;
 
         for (std::size_t i = 0; i < rebound.size(); ++i) {
-            res.identical = res.identical &&
-                            sameCompileResults(*rebound[i], *cold[i]);
+            identical =
+                identical && sameCompileResults(*rebound[i], *full[i]);
         }
-        switch (lanes) {
-        case 1: {
-            res.cold_t1_ms = cold_ms;
-            res.rebind_t1_ms = rebind_ms;
-            const ServiceStats stats = service.stats();
-            res.template_hits = stats.templateHits;
-            res.template_misses = stats.templateMisses;
-            break;
-        }
-        case 2:
-            res.cold_t2_ms = cold_ms;
-            res.rebind_t2_ms = rebind_ms;
-            break;
-        case 4:
-            res.cold_t4_ms = cold_ms;
-            res.rebind_t4_ms = rebind_ms;
-            break;
-        default:
-            res.cold_t8_ms = cold_ms;
-            res.rebind_t8_ms = rebind_ms;
-            break;
+        const std::string t = "_t" + std::to_string(lanes) + "_ms";
+        rep.add("template_cold" + t, cold.ms());
+        rep.add("template_rebind" + t, rebind.ms());
+        if (lanes == 1) {
+            cold_t1_ms = cold.ms();
+            rebind_t1_ms = rebind.ms();
+            stats_t1 = service.stats();
         }
     }
-    return res;
+    const double rebind_speedup = speedup(cold_t1_ms, rebind_t1_ms);
+    rep.add("template_rebind_speedup", rebind_speedup, "%.3f");
+    rep.add("template_angles", static_cast<std::uint64_t>(num_angles));
+    rep.add("template_hits", stats_t1.templateHits);
+    rep.add("template_misses", stats_t1.templateMisses);
+    rep.add("template_identical", identical);
+    checks.expect(identical,
+                  "template rebinds are bit-identical to full compiles "
+                  "across the QAOA angle grid at 1/2/4/8 lanes");
+    checks.expect(stats_t1.templateHits > 0,
+                  "the angle grid was served from the template tier");
+    checks.expect(rebind_speedup >= kTemplateRebindMargin,
+                  "template rebinds beat cold full compiles by >= the "
+                  "template tier's expected margin");
 }
-
-struct PersistBenchResult
-{
-    double cold_ms; // no store, memo cleared per pass: full pipeline
-    double disk_ms; // store warm, memo cleared per pass: decode path
-    double memo_ms; // memo warm: request fingerprint + map lookup
-    bool identical; // disk-loaded artifacts == direct strategy compiles
-    std::uint64_t requests;    // catalog size per pass
-    std::uint64_t disk_hits;   // observed on the warm-restarted service
-    std::uint64_t disk_writes; // records written while priming
-    std::uint64_t store_bytes; // log size after priming
-};
 
 /** A disk-warm service must serve the catalog at least this much
  *  faster than cold compiles: a disk hit is one pread + CRC check +
@@ -969,8 +895,8 @@ constexpr double kPersistDiskWarmMargin = 5.0;
  * in-memory tier on the same service. Disk-loaded artifacts must be
  * bit-identical to direct strategy compiles.
  */
-PersistBenchResult
-benchPersist(int reps, int sizes_hi)
+void
+benchPersist(int reps, int sizes_hi, Report &rep, Checks &checks)
 {
     const GateLibrary lib;
     CompilerConfig cfg;
@@ -998,48 +924,42 @@ benchPersist(int reps, int sizes_hi)
         "bench_hotpaths_store_" + std::to_string(::getpid()) + ".qst";
     std::remove(store_path.c_str());
 
-    PersistBenchResult res{};
-    res.identical = true;
-    res.requests = static_cast<std::uint64_t>(reqs.size());
-
     // Serial passes: the tiers differ in decode-vs-compile cost,
     // which lane dispatch overhead would mask at this scale.
-    auto run_pass = [&](CompilerService &service, double &ms_acc,
-                        std::vector<CompileArtifact> *out) {
-        const auto t0 = Clock::now();
+    auto pass = [&](CompilerService &service,
+                    std::vector<CompileArtifact> *out) {
         serveFromLanes(service, nullptr, reqs, out);
-        ms_acc += 1e3 * secondsSince(t0);
     };
 
     // Cold baseline: no store, memo dropped before every timed pass.
+    SectionTimer cold;
     {
         CompilerService service;
-        double discard = 0.0;
-        run_pass(service, discard, nullptr); // allocator/context warm-up
+        pass(service, nullptr); // allocator/context warm-up
         for (int r = 0; r < reps; ++r) {
             service.clearCache();
-            run_pass(service, res.cold_ms, nullptr);
+            cold.time([&] { pass(service, nullptr); });
         }
-        res.cold_ms /= reps;
     }
 
     // Prime the store: one pass on a store-backed service writes the
     // whole catalog behind the misses.
+    ServiceStats primed;
     {
         ServiceOptions sopts;
         sopts.storePath = store_path;
         CompilerService service(sopts);
-        double discard = 0.0;
-        run_pass(service, discard, nullptr);
-        const ServiceStats stats = service.stats();
-        res.disk_writes = stats.diskWrites;
-        res.store_bytes = stats.storeBytes;
+        pass(service, nullptr);
+        primed = service.stats();
     }
 
     // Warm restart: a fresh service on the primed store. Disk passes
     // drop the memo first so every request rides the disk tier; the
     // memo passes afterwards ride the in-memory tier. Both passes are
-    // microseconds-scale, so batch them for a stable timer window.
+    // microseconds-scale, so run many for a stable mean.
+    SectionTimer disk, memo;
+    bool identical = true;
+    ServiceStats restarted;
     {
         ServiceOptions sopts;
         sopts.storePath = store_path;
@@ -1048,37 +968,45 @@ benchPersist(int reps, int sizes_hi)
         std::vector<CompileArtifact> artifacts(reqs.size());
         for (int it = 0; it < disk_iters; ++it) {
             service.clearCache(); // drops memo+templates, not the store
-            run_pass(service, res.disk_ms,
-                     it == 0 ? &artifacts : nullptr);
+            disk.time(
+                [&] { pass(service, it == 0 ? &artifacts : nullptr); });
         }
-        res.disk_ms /= disk_iters;
-
         const int memo_iters = disk_iters * 5; // ~micros each; drown scheduler jitter
         for (int it = 0; it < memo_iters; ++it)
-            run_pass(service, res.memo_ms, nullptr);
-        res.memo_ms /= memo_iters;
+            memo.time([&] { pass(service, nullptr); });
 
-        const ServiceStats stats = service.stats();
-        res.disk_hits = stats.diskHits;
+        restarted = service.stats();
         for (std::size_t i = 0; i < artifacts.size(); ++i) {
-            res.identical = res.identical &&
-                            sameCompileResults(*artifacts[i], direct[i]);
+            identical =
+                identical && sameCompileResults(*artifacts[i], direct[i]);
         }
     }
-
     std::remove(store_path.c_str());
-    return res;
-}
 
-struct DeviceBenchResult
-{
-    std::string table;      ///< JSON rows: per device x strategy
-    bool identical;         ///< registry path == direct compiles
-    bool neutral_identical; ///< neutral uniform cal == no cal
-    bool invalidation_ok;   ///< stale miss, fresh hit, unrelated hit
-    bool partition_ok;      ///< requests == hits+tmpl+disk+misses+coal
-    std::uint64_t devices;  ///< zoo devices swept
-};
+    const double disk_speedup = speedup(cold.ms(), disk.ms());
+    rep.add("persist_cold_ms", cold.ms());
+    rep.add("persist_disk_ms", disk.ms());
+    rep.add("persist_memo_ms", memo.ms());
+    rep.add("persist_disk_speedup", disk_speedup, "%.3f");
+    rep.add("persist_memo_speedup", speedup(cold.ms(), memo.ms()), "%.3f");
+    rep.add("persist_requests", static_cast<std::uint64_t>(reqs.size()));
+    rep.add("persist_disk_hits", restarted.diskHits);
+    rep.add("persist_disk_writes", primed.diskWrites);
+    rep.add("persist_store_bytes", primed.storeBytes);
+    rep.add("persist_identical", identical);
+    checks.expect(identical,
+                  "disk-tier artifacts decode bit-identical to direct "
+                  "strategy compiles");
+    checks.expect(primed.diskWrites == reqs.size(),
+                  "priming pass wrote the whole catalog behind the "
+                  "misses exactly once");
+    checks.expect(restarted.diskHits > 0,
+                  "the warm-restarted service served requests from the "
+                  "disk tier");
+    checks.expect(disk_speedup >= kPersistDiskWarmMargin,
+                  "a disk-warm restart serves the catalog >= the "
+                  "persistence tier's expected margin over cold compiles");
+}
 
 /**
  * The device-registry workload: a strategy x zoo-device sweep, every
@@ -1093,8 +1021,8 @@ struct DeviceBenchResult
  * its own device (stale miss then fresh hit, the unrelated device's
  * warm entry survives, the counter partition stays intact).
  */
-DeviceBenchResult
-benchDevices(int reps)
+void
+benchDevices(int reps, Report &rep, Checks &checks)
 {
     const GateLibrary lib;
     CompilerConfig cfg;
@@ -1104,41 +1032,34 @@ benchDevices(int reps)
     const char *devices[] = {"falcon27",    "heavyhex23", "heavyhex65",
                              "heavyhex127", "ring65",     "grid64"};
 
-    DeviceBenchResult res{};
-    res.identical = true;
-    res.devices = std::size(devices);
-
+    bool identical = true;
     CompilerService service;
-    char row[256];
     for (const char *dev : devices) {
         const Device d = service.devices().get(dev);
         for (const char *strat : strategies) {
-            double ms = 0.0;
+            SectionTimer cell;
             CompileArtifact art;
             for (int r = 0; r < reps; ++r) {
                 service.clearCache();
-                const auto t0 = Clock::now();
-                art = service.compileSync(CompileRequest::forDevice(
-                    circuit, dev, strat, cfg, lib));
-                ms += 1e3 * secondsSince(t0);
+                cell.time([&] {
+                    art = service.compileSync(CompileRequest::forDevice(
+                        circuit, dev, strat, cfg, lib));
+                });
             }
-            ms /= reps;
             const CompileResult direct = makeStrategy(strat)->compile(
                 circuit, d.topology, lib, cfg);
-            res.identical =
-                res.identical && sameCompileResults(*art, direct);
-            std::snprintf(row, sizeof row,
-                          "    \"device_%s_%s_ms\": %.4f,\n"
-                          "    \"device_%s_%s_eps\": %.6f,\n",
-                          dev, strat, ms, dev, strat,
-                          art->metrics.totalEps);
-            res.table += row;
+            identical = identical && sameCompileResults(*art, direct);
+            const std::string cell_name =
+                std::string("device_") + dev + "_" + strat;
+            rep.add(cell_name + "_ms", cell.ms());
+            rep.add(cell_name + "_eps", art->metrics.totalEps, "%.6f");
         }
     }
 
     // Neutral-calibration differential: a uniform record carrying the
     // library constants (zero readout, no edge scales) must price
     // every gate exactly like no calibration at all.
+    bool neutral_identical = false;
     {
         const Device d = service.devices().get("heavyhex65");
         CompilerConfig neutral = cfg;
@@ -1152,7 +1073,7 @@ benchDevices(int reps)
             circuit, d.topology, lib, cfg);
         const CompileResult cal = makeStrategy("eqm")->compile(
             circuit, d.topology, lib, neutral);
-        res.neutral_identical =
+        neutral_identical =
             sameCompileResults(plain, cal) &&
             plain.metrics.readoutEps == cal.metrics.readoutEps;
     }
@@ -1160,6 +1081,7 @@ benchDevices(int reps)
     // Invalidation differential on a fresh service (clean counters):
     // warm two devices, install a calibration on one, and read the
     // exact miss/hit trajectory off the counters.
+    ServiceStats st;
     {
         CompilerService svc;
         auto req = [&](const char *dev) {
@@ -1176,13 +1098,30 @@ benchDevices(int reps)
         svc.compileSync(req("falcon27")); // miss (stale key)
         svc.compileSync(req("falcon27")); // hit  (fresh entry)
         svc.compileSync(req("ring65"));   // hit  (unrelated survives)
-        const ServiceStats st = svc.stats();
-        res.invalidation_ok = st.misses == 3 && st.hits == 3;
-        res.partition_ok = st.requests == st.hits + st.templateHits +
-                                              st.diskHits + st.misses +
-                                              st.coalesced;
+        st = svc.stats();
     }
-    return res;
+    const bool invalidation_ok = st.misses == 3 && st.hits == 3;
+    const bool partition_ok = st.requests == st.hits + st.templateHits +
+                                                 st.diskHits + st.misses +
+                                                 st.coalesced;
+
+    rep.add("device_zoo_count", static_cast<std::uint64_t>(std::size(devices)));
+    rep.add("device_registry_identical", identical);
+    rep.add("device_neutral_identical", neutral_identical);
+    rep.add("device_invalidation_ok", invalidation_ok);
+    rep.add("device_partition_ok", partition_ok);
+    checks.expect(identical,
+                  "registry-resolved device compiles are bit-identical "
+                  "to direct compiles on the registry topology");
+    checks.expect(neutral_identical,
+                  "a neutral uniform calibration compiles bit-identical "
+                  "to no calibration");
+    checks.expect(invalidation_ok,
+                  "a calibration install re-keys exactly its device: "
+                  "stale miss, fresh hit, unrelated warm hit");
+    checks.expect(partition_ok,
+                  "the service counter partition holds across "
+                  "calibration updates");
 }
 
 } // namespace
@@ -1190,8 +1129,7 @@ benchDevices(int reps)
 int
 main(int argc, char **argv)
 {
-    using qompress::bench::parseArgs;
-    const auto args = parseArgs(argc, argv);
+    const auto args = bench::parseArgs(argc, argv);
     const bool check = args.has("--check");
     std::string out_path;
     for (const auto &e : args.extra) {
@@ -1224,7 +1162,7 @@ main(int argc, char **argv)
     // The disk-warm/cold ratio gates --check; the margin is wide
     // (kPersistDiskWarmMargin vs a real >= 100x: a decode pass costs
     // microseconds against milliseconds of compiles), and the cheap
-    // disk/memo passes are internally batched 10x per rep.
+    // disk/memo passes are run 20x/100x per rep.
     const int persist_reps = check ? 2 : (args.quick ? 2 : 4);
     // Must differ from the grid's base size (12) in every mode: equal
     // sizes would collapse the catalog to duplicate keys, which the
@@ -1237,287 +1175,26 @@ main(int argc, char **argv)
     // and the device_ section gates at 10% in CI.
     const int device_reps = check ? 1 : (args.quick ? 5 : 10);
 
-    const SimResult sim = benchStatevector(sim_reps);
-    const GrapeBenchResult gr = benchGrape(grape_reps);
-    const RouteBenchResult rt = benchRouting(route_reps);
-    const QaoaHhBenchResult qh = benchQaoaHeavyHex(qaoa_reps, qaoa_rounds);
-    const ExhaustiveBenchResult ex = benchExhaustive(exh_qubits);
-    const SweepBenchResult sw = benchSweep(sweep_hi);
-    const GrapeLanesBenchResult gl = benchGrapeLanes(grape_lane_reps);
-    const PadeBenchResult pd = benchPade(pade_reps);
-    const ServiceBenchResult sv = benchService(service_reps, service_hi);
-    const TemplateBenchResult tm =
-        benchTemplate(template_reps, template_rounds, template_angles);
-    const PersistBenchResult ps = benchPersist(persist_reps, persist_hi);
-    const DeviceBenchResult dv = benchDevices(device_reps);
+    Report rep("hotpaths");
+    Checks checks;
+    benchStatevector(sim_reps, rep, checks);
+    benchGrape(grape_reps, rep, checks);
+    benchRouting(route_reps, rep, checks);
+    benchQaoaHeavyHex(qaoa_reps, qaoa_rounds, rep, checks);
+    benchExhaustive(exh_qubits, rep, checks);
+    benchSweep(sweep_hi, rep, checks);
+    benchGrapeLanes(grape_lane_reps, rep, checks);
+    benchPade(pade_reps, rep, checks);
+    benchService(service_reps, service_hi, rep, checks);
+    benchTemplate(template_reps, template_rounds, template_angles, rep,
+                  checks);
+    benchPersist(persist_reps, persist_hi, rep, checks);
+    benchDevices(device_reps, rep, checks);
 
-    const double sim_speedup =
-        sim.optimized_ms > 0.0 ? sim.naive_ms / sim.optimized_ms : 0.0;
-    const double grape_speedup =
-        gr.optimized_ms > 0.0 ? gr.naive_ms / gr.optimized_ms : 0.0;
-    const double route_speedup =
-        rt.cached_ms > 0.0 ? rt.uncached_ms / rt.cached_ms : 0.0;
-    const double qaoa_speedup =
-        qh.cached_ms > 0.0 ? qh.uncached_ms / qh.cached_ms : 0.0;
-    const double exh_speedup_t4 =
-        ex.t4_ms > 0.0 ? ex.serial_ms / ex.t4_ms : 0.0;
-    const double sweep_speedup_t4 =
-        sw.t4_ms > 0.0 ? sw.serial_ms / sw.t4_ms : 0.0;
-    const double grape_seg_speedup_t4 =
-        gl.t4_ms > 0.0 ? gl.serial_ms / gl.t4_ms : 0.0;
-    const double pade_speedup =
-        pd.pade_ms > 0.0 ? pd.taylor_ms / pd.pade_ms : 0.0;
-    const double service_warm_speedup =
-        sv.warm_t1_ms > 0.0 ? sv.cold_t1_ms / sv.warm_t1_ms : 0.0;
-    const double template_rebind_speedup =
-        tm.rebind_t1_ms > 0.0 ? tm.cold_t1_ms / tm.rebind_t1_ms : 0.0;
-    const double persist_disk_speedup =
-        ps.disk_ms > 0.0 ? ps.cold_ms / ps.disk_ms : 0.0;
-    const double persist_memo_speedup =
-        ps.memo_ms > 0.0 ? ps.cold_ms / ps.memo_ms : 0.0;
-
-    const char *qt_env = std::getenv("QOMPRESS_THREADS");
-#ifndef QOMPRESS_BUILD_TYPE
-#define QOMPRESS_BUILD_TYPE "unknown"
-#endif
-
-    char buf[32768]; // headroom for the dynamic device table
-    std::snprintf(
-        buf, sizeof buf,
-        "{\n"
-        "  \"bench\": \"hotpaths\",\n"
-        "  \"host\": {\n"
-        "    \"nproc\": %u,\n"
-        "    \"qompress_threads\": \"%s\",\n"
-        "    \"build_type\": \"%s\"\n"
-        "  },\n"
-        "  \"metrics\": {\n"
-        "    \"statevector_apply_ms\": %.4f,\n"
-        "    \"statevector_naive_ms\": %.4f,\n"
-        "    \"statevector_speedup\": %.3f,\n"
-        "    \"statevector_max_diff\": %.3e,\n"
-        "    \"grape_gradient_ms\": %.4f,\n"
-        "    \"grape_gradient_naive_ms\": %.4f,\n"
-        "    \"grape_speedup\": %.3f,\n"
-        "    \"grape_max_grad_diff\": %.3e,\n"
-        "    \"grape_warm_allocs\": %llu,\n"
-        "    \"route_bv20_cached_ms\": %.4f,\n"
-        "    \"route_bv20_uncached_ms\": %.4f,\n"
-        "    \"route_speedup\": %.3f,\n"
-        "    \"route_gates\": %llu,\n"
-        "    \"route_identical\": %s,\n"
-        "    \"qaoa_hh_cached_ms\": %.4f,\n"
-        "    \"qaoa_hh_uncached_ms\": %.4f,\n"
-        "    \"qaoa_hh_speedup\": %.3f,\n"
-        "    \"qaoa_hh_gates\": %llu,\n"
-        "    \"qaoa_hh_cache_hits\": %llu,\n"
-        "    \"qaoa_hh_cache_misses\": %llu,\n"
-        "    \"qaoa_hh_cache_revalidations\": %llu,\n"
-        "    \"qaoa_hh_identical\": %s,\n"
-        "    \"exhaustive_hh_serial_ms\": %.4f,\n"
-        "    \"exhaustive_hh_t2_ms\": %.4f,\n"
-        "    \"exhaustive_hh_t4_ms\": %.4f,\n"
-        "    \"exhaustive_hh_t8_ms\": %.4f,\n"
-        "    \"exhaustive_hh_speedup_t4\": %.3f,\n"
-        "    \"exhaustive_hh_pairs\": %llu,\n"
-        "    \"exhaustive_hh_identical\": %s,\n"
-        "    \"sweep_serial_ms\": %.4f,\n"
-        "    \"sweep_t2_ms\": %.4f,\n"
-        "    \"sweep_t4_ms\": %.4f,\n"
-        "    \"sweep_t8_ms\": %.4f,\n"
-        "    \"sweep_speedup_t4\": %.3f,\n"
-        "    \"sweep_cells\": %llu,\n"
-        "    \"sweep_identical\": %s,\n"
-        "    \"grape_seg_serial_ms\": %.4f,\n"
-        "    \"grape_seg_t2_ms\": %.4f,\n"
-        "    \"grape_seg_t4_ms\": %.4f,\n"
-        "    \"grape_seg_t8_ms\": %.4f,\n"
-        "    \"grape_seg_speedup_t4\": %.3f,\n"
-        "    \"grape_seg_warm_lane_allocs\": %llu,\n"
-        "    \"grape_seg_identical\": %s,\n"
-        "    \"expm_pade_ms\": %.4f,\n"
-        "    \"expm_taylor_ms\": %.4f,\n"
-        "    \"expm_pade_speedup\": %.3f,\n"
-        "    \"expm_pade_max_diff\": %.3e,\n"
-        "    \"service_cold_t1_ms\": %.4f,\n"
-        "    \"service_cold_t2_ms\": %.4f,\n"
-        "    \"service_cold_t4_ms\": %.4f,\n"
-        "    \"service_cold_t8_ms\": %.4f,\n"
-        "    \"service_warm_t1_ms\": %.4f,\n"
-        "    \"service_warm_t2_ms\": %.4f,\n"
-        "    \"service_warm_t4_ms\": %.4f,\n"
-        "    \"service_warm_t8_ms\": %.4f,\n"
-        "    \"service_warm_speedup\": %.3f,\n"
-        "    \"service_requests\": %llu,\n"
-        "    \"service_hits\": %llu,\n"
-        "    \"service_misses\": %llu,\n"
-        "    \"service_identical\": %s,\n"
-        "    \"template_cold_t1_ms\": %.4f,\n"
-        "    \"template_cold_t2_ms\": %.4f,\n"
-        "    \"template_cold_t4_ms\": %.4f,\n"
-        "    \"template_cold_t8_ms\": %.4f,\n"
-        "    \"template_rebind_t1_ms\": %.4f,\n"
-        "    \"template_rebind_t2_ms\": %.4f,\n"
-        "    \"template_rebind_t4_ms\": %.4f,\n"
-        "    \"template_rebind_t8_ms\": %.4f,\n"
-        "    \"template_rebind_speedup\": %.3f,\n"
-        "    \"template_angles\": %llu,\n"
-        "    \"template_hits\": %llu,\n"
-        "    \"template_misses\": %llu,\n"
-        "    \"template_identical\": %s,\n"
-        "    \"persist_cold_ms\": %.4f,\n"
-        "    \"persist_disk_ms\": %.4f,\n"
-        "    \"persist_memo_ms\": %.4f,\n"
-        "    \"persist_disk_speedup\": %.3f,\n"
-        "    \"persist_memo_speedup\": %.3f,\n"
-        "    \"persist_requests\": %llu,\n"
-        "    \"persist_disk_hits\": %llu,\n"
-        "    \"persist_disk_writes\": %llu,\n"
-        "    \"persist_store_bytes\": %llu,\n"
-        "    \"persist_identical\": %s,\n"
-        "%s" // the device results table (dynamic: device x strategy)
-        "    \"device_zoo_count\": %llu,\n"
-        "    \"device_registry_identical\": %s,\n"
-        "    \"device_neutral_identical\": %s,\n"
-        "    \"device_invalidation_ok\": %s,\n"
-        "    \"device_partition_ok\": %s\n"
-        "  }\n"
-        "}\n",
-        std::thread::hardware_concurrency(),
-        qt_env ? qt_env : "unset", QOMPRESS_BUILD_TYPE,
-        sim.optimized_ms, sim.naive_ms, sim_speedup, sim.max_diff,
-        gr.optimized_ms, gr.naive_ms, grape_speedup, gr.max_grad_diff,
-        static_cast<unsigned long long>(gr.warm_allocs), rt.cached_ms,
-        rt.uncached_ms, route_speedup,
-        static_cast<unsigned long long>(rt.gates),
-        rt.identical ? "true" : "false", qh.cached_ms, qh.uncached_ms,
-        qaoa_speedup, static_cast<unsigned long long>(qh.gates),
-        static_cast<unsigned long long>(qh.cache_hits),
-        static_cast<unsigned long long>(qh.cache_misses),
-        static_cast<unsigned long long>(qh.cache_revalidations),
-        qh.identical ? "true" : "false", ex.serial_ms, ex.t2_ms,
-        ex.t4_ms, ex.t8_ms, exh_speedup_t4,
-        static_cast<unsigned long long>(ex.pairs),
-        ex.identical ? "true" : "false", sw.serial_ms, sw.t2_ms,
-        sw.t4_ms, sw.t8_ms, sweep_speedup_t4,
-        static_cast<unsigned long long>(sw.cells),
-        sw.identical ? "true" : "false", gl.serial_ms, gl.t2_ms,
-        gl.t4_ms, gl.t8_ms, grape_seg_speedup_t4,
-        static_cast<unsigned long long>(gl.warm_lane_allocs),
-        gl.identical ? "true" : "false", pd.pade_ms, pd.taylor_ms,
-        pade_speedup, pd.max_diff, sv.cold_t1_ms, sv.cold_t2_ms,
-        sv.cold_t4_ms, sv.cold_t8_ms, sv.warm_t1_ms, sv.warm_t2_ms,
-        sv.warm_t4_ms, sv.warm_t8_ms, service_warm_speedup,
-        static_cast<unsigned long long>(sv.requests),
-        static_cast<unsigned long long>(sv.hits),
-        static_cast<unsigned long long>(sv.misses),
-        sv.identical ? "true" : "false", tm.cold_t1_ms, tm.cold_t2_ms,
-        tm.cold_t4_ms, tm.cold_t8_ms, tm.rebind_t1_ms, tm.rebind_t2_ms,
-        tm.rebind_t4_ms, tm.rebind_t8_ms, template_rebind_speedup,
-        static_cast<unsigned long long>(tm.angles),
-        static_cast<unsigned long long>(tm.template_hits),
-        static_cast<unsigned long long>(tm.template_misses),
-        tm.identical ? "true" : "false", ps.cold_ms, ps.disk_ms,
-        ps.memo_ms, persist_disk_speedup, persist_memo_speedup,
-        static_cast<unsigned long long>(ps.requests),
-        static_cast<unsigned long long>(ps.disk_hits),
-        static_cast<unsigned long long>(ps.disk_writes),
-        static_cast<unsigned long long>(ps.store_bytes),
-        ps.identical ? "true" : "false", dv.table.c_str(),
-        static_cast<unsigned long long>(dv.devices),
-        dv.identical ? "true" : "false",
-        dv.neutral_identical ? "true" : "false",
-        dv.invalidation_ok ? "true" : "false",
-        dv.partition_ok ? "true" : "false");
-    std::cout << buf;
-    if (!out_path.empty()) {
-        std::ofstream out(out_path);
-        out << buf;
-        if (!out) {
-            std::cerr << "error: cannot write '" << out_path << "'\n";
-            return 1;
-        }
-    }
-
-    if (check) {
-        int failures = 0;
-        auto expect = [&](bool ok, const char *what) {
-            std::cerr << (ok ? "PASS: " : "FAIL: ") << what << '\n';
-            if (!ok)
-                ++failures;
-        };
-        expect(sim.max_diff <= 1e-10,
-               "applyUnitary agrees with naive kernel to 1e-10");
-        expect(gr.max_grad_diff <= 1e-10,
-               "GRAPE gradient agrees with naive reference to 1e-10");
-        expect(gr.warm_allocs == 0,
-               "warm GRAPE gradient step performs zero heap "
-               "allocations");
-        expect(rt.identical,
-               "cached and uncached routing emit identical circuits");
-        expect(qh.identical,
-               "partial-invalidation cached and uncached QAOA/heavy-hex "
-               "mapping+routing emit identical circuits");
-        expect(ex.identical,
-               "exhaustive search chooses bit-identical pairings at "
-               "1/2/4/8 lanes");
-        expect(sw.identical,
-               "eval sweep emits bit-identical records at 1/2/4/8 "
-               "lanes");
-        expect(gl.identical,
-               "GRAPE objective+gradient is bit-identical at 1/2/4/8 "
-               "lanes");
-        expect(gl.warm_lane_allocs == 0,
-               "warm pooled GRAPE gradient step performs zero heap "
-               "allocations on every lane");
-        expect(pd.max_diff <= 1e-12,
-               "Pade-13 family exponential matches the Taylor "
-               "reference to 1e-12");
-        expect(pade_speedup >= 1.15,
-               "Pade-13 family exponential beats the Taylor reference "
-               "by >= 1.15x");
-        expect(sv.identical,
-               "CompilerService artifacts are bit-identical to direct "
-               "strategy compiles at 1/2/4/8 lanes");
-        expect(sv.hits > 0 && sv.misses > 0,
-               "service memo cache observed both misses (cold) and "
-               "hits (warm)");
-        expect(service_warm_speedup >= kServiceWarmMargin,
-               "warm (memoized) service passes beat cold ones by >= "
-               "the memo cache's expected margin");
-        expect(tm.identical,
-               "template rebinds are bit-identical to full compiles "
-               "across the QAOA angle grid at 1/2/4/8 lanes");
-        expect(tm.template_hits > 0,
-               "the angle grid was served from the template tier");
-        expect(template_rebind_speedup >= kTemplateRebindMargin,
-               "template rebinds beat cold full compiles by >= the "
-               "template tier's expected margin");
-        expect(ps.identical,
-               "disk-tier artifacts decode bit-identical to direct "
-               "strategy compiles");
-        expect(ps.disk_writes == ps.requests,
-               "priming pass wrote the whole catalog behind the "
-               "misses exactly once");
-        expect(ps.disk_hits > 0,
-               "the warm-restarted service served requests from the "
-               "disk tier");
-        expect(persist_disk_speedup >= kPersistDiskWarmMargin,
-               "a disk-warm restart serves the catalog >= the "
-               "persistence tier's expected margin over cold compiles");
-        expect(dv.identical,
-               "registry-resolved device compiles are bit-identical "
-               "to direct compiles on the registry topology");
-        expect(dv.neutral_identical,
-               "a neutral uniform calibration compiles bit-identical "
-               "to no calibration");
-        expect(dv.invalidation_ok,
-               "a calibration install re-keys exactly its device: "
-               "stale miss, fresh hit, unrelated warm hit");
-        expect(dv.partition_ok,
-               "the service counter partition holds across "
-               "calibration updates");
-        return failures == 0 ? 0 : 1;
-    }
+    std::cout << rep.json();
+    if (!out_path.empty() && !rep.save(out_path))
+        return 1;
+    if (check)
+        return checks.print() == 0 ? 0 : 1;
     return 0;
 }

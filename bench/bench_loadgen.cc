@@ -24,13 +24,14 @@
  *    clear, flip /healthz through ok -> degraded -> draining, and
  *    leave a log a cold restart fully recovers.
  *
- * Emits bench_diff.py-compatible JSON ("loadgen_" sections; the two
- * *_ms wall-clock timings are the gated metrics, tail latencies are
- * reported in _us as informational). --check asserts the acceptance
- * invariants: zero 5xx, zero transport errors, templateHits > 0 from
- * the sweep mix, the ServiceStats partition (requests == hits +
- * templateHits + misses + coalesced), and liveness after the
- * malformed mix.
+ * Emits bench_diff.py-compatible JSON through bench::Report
+ * ("loadgen_" sections; the *_ms wall-clock timings are the gated
+ * metrics, tail latencies are reported in _us as informational).
+ * --check asserts the acceptance invariants: zero 5xx, zero transport
+ * errors, templateHits > 0 from the sweep mix, the ServiceStats
+ * partition (requests == hits + templateHits + diskHits + misses +
+ * coalesced), liveness after the malformed mix, and the fault
+ * scenario's degrade/recover trajectory.
  *
  * Usage:
  *   bench_loadgen [--quick] [--check] [--out=FILE]
@@ -53,11 +54,11 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.hh"
 #include "circuits/registry.hh"
 #include "common/error.hh"
 #include "common/faultpoint.hh"
@@ -70,17 +71,11 @@
 #include "service/artifact_store.hh"
 
 using namespace qompress;
+using bench::Checks;
+using bench::Report;
+using bench::SectionTimer;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-msSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-        .count();
-}
 
 struct Args
 {
@@ -300,19 +295,6 @@ struct Tally
     }
 };
 
-int g_failures = 0;
-
-void
-check(bool ok, const char *what)
-{
-    if (ok) {
-        std::printf("  CHECK ok: %s\n", what);
-    } else {
-        std::printf("  CHECK FAILED: %s\n", what);
-        ++g_failures;
-    }
-}
-
 } // namespace
 
 int
@@ -375,6 +357,8 @@ main(int argc, char **argv)
 
     Tally tally;
     LatencyHistogram latency;
+    Report rep("loadgen");
+    Checks checks;
 
     // ----------------------------------------------------------- warmup
     // One cold compile per catalog entry + one sweep structure, plus
@@ -390,31 +374,31 @@ main(int argc, char **argv)
     }
     const std::string before =
         (warm.request(get("/metrics"), status, body), body);
-    const auto warm_t0 = Clock::now();
-    for (const std::string &p : payloads) {
-        warm.request(p, status, body);
-        tally.count(true, status);
-    }
-    {
+    SectionTimer warmup;
+    warmup.time([&] {
+        for (const std::string &p : payloads) {
+            warm.request(p, status, body);
+            tally.count(true, status);
+        }
         Rng rng(args.seed);
         warm.request(postCompile(rerollAngles(sweepBase, rng).toQasm()),
                      status, body);
         tally.count(true, status);
-        warm.request(get("/compile?family=bv&sizes=12,16"), status,
-                     body);
+        warm.request(get("/compile?family=bv&sizes=12,16"), status, body);
         tally.count(true, status);
-    }
-    const double warmup_ms = msSince(warm_t0);
+    });
+    rep.add("loadgen_warmup_cold_ms", warmup.ms(), "%.2f");
 
     // -------------------------------------------------------- zipf mix
-    const auto zipf_t0 = Clock::now();
-    {
+    SectionTimer zipf;
+    zipf.time([&] {
         std::vector<std::thread> threads;
         for (int c = 0; c < conns; ++c) {
             threads.emplace_back([&, c] {
                 Client client(host, port,
                               args.seed + 100 + static_cast<unsigned>(c));
                 Rng rng(args.seed + 1000 + static_cast<unsigned>(c));
+                SectionTimer requests;
                 const int mine = zipf_requests / conns +
                                  (c < zipf_requests % conns ? 1 : 0);
                 for (int i = 0; i < mine; ++i) {
@@ -425,30 +409,35 @@ main(int argc, char **argv)
                         ++pick;
                     int st = 0;
                     std::string b;
-                    const auto t0 = Clock::now();
-                    const bool sent =
-                        client.requestWithRetry(payloads[pick], st, b);
-                    latency.record(msSince(t0) * 1000.0);
+                    bool sent = false;
+                    latency.record(1000.0 * requests.time([&] {
+                        sent = client.requestWithRetry(payloads[pick], st,
+                                                       b);
+                    }));
                     tally.count(sent, st);
                 }
             });
         }
         for (std::thread &t : threads)
             t.join();
-    }
-    const double zipf_ms = msSince(zipf_t0);
+    });
+    rep.add("loadgen_zipf_warm_ms", zipf.ms(), "%.2f");
+    rep.add("loadgen_throughput_rps",
+            zipf.ms() > 0.0 ? 1000.0 * zipf_requests / zipf.ms() : 0.0,
+            "%.1f");
 
     // ------------------------------------------------------- sweep mix
     // Unique angles per request: exact-tier misses the template tier
     // must absorb as rebinds.
-    const auto sweep_t0 = Clock::now();
-    {
+    SectionTimer sweep;
+    sweep.time([&] {
         std::vector<std::thread> threads;
         for (int c = 0; c < conns; ++c) {
             threads.emplace_back([&, c] {
                 Client client(host, port,
                               args.seed + 200 + static_cast<unsigned>(c));
                 Rng rng(args.seed + 2000 + static_cast<unsigned>(c));
+                SectionTimer requests;
                 const int mine = sweep_requests / conns +
                                  (c < sweep_requests % conns ? 1 : 0);
                 for (int i = 0; i < mine; ++i) {
@@ -456,17 +445,18 @@ main(int argc, char **argv)
                         rerollAngles(sweepBase, rng).toQasm());
                     int st = 0;
                     std::string b;
-                    const auto t0 = Clock::now();
-                    const bool sent = client.requestWithRetry(p, st, b);
-                    latency.record(msSince(t0) * 1000.0);
+                    bool sent = false;
+                    latency.record(1000.0 * requests.time([&] {
+                        sent = client.requestWithRetry(p, st, b);
+                    }));
                     tally.count(sent, st);
                 }
             });
         }
         for (std::thread &t : threads)
             t.join();
-    }
-    const double sweep_ms = msSince(sweep_t0);
+    });
+    rep.add("loadgen_sweep_warm_ms", sweep.ms(), "%.2f");
 
     // ---------------------------------------------------- burst arrivals
     // Idle gap, then a volley: the arrival shape that exposes queueing
@@ -479,6 +469,7 @@ main(int argc, char **argv)
                 Client client(host, port,
                               args.seed + 300 + static_cast<unsigned>(c));
                 Rng rng(args.seed + 3000 + static_cast<unsigned>(c));
+                SectionTimer requests;
                 for (int b = 0; b < bursts; ++b) {
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(burst_gap_ms));
@@ -487,10 +478,11 @@ main(int argc, char **argv)
                             rng.nextUint(payloads.size());
                         int st = 0;
                         std::string bd;
-                        const auto t0 = Clock::now();
-                        const bool sent = client.requestWithRetry(
-                            payloads[pick], st, bd);
-                        const double us = msSince(t0) * 1000.0;
+                        bool sent = false;
+                        const double us = 1000.0 * requests.time([&] {
+                            sent = client.requestWithRetry(payloads[pick],
+                                                           st, bd);
+                        });
                         latency.record(us);
                         burstLatency.record(us);
                         tally.count(sent, st);
@@ -545,6 +537,65 @@ main(int argc, char **argv)
             malformedStructured = false;
     }
 
+    // ------------------------------------------------------- metrics
+    // Read before the fault scenario: its dedicated server never
+    // touches the traffic server's counters.
+    Client probe(host, port);
+    probe.request(get("/metrics"), status, body);
+    const std::string after = body;
+    auto delta = [&](const char *key) {
+        return scrape(after, "service", key) -
+               scrape(before, "service", key);
+    };
+    const double d_requests = delta("requests");
+    const double d_hits = delta("hits");
+    const double d_template = delta("templateHits");
+    const double d_misses = delta("misses");
+    const double d_coalesced = delta("coalesced");
+    const double d_disk = delta("diskHits");
+    const double server_5xx = scrape(after, "server", "serverErrors");
+    const double server_p99 = scrape(after, "latency", "p99_us");
+
+    const LatencyHistogram::Snapshot lat = latency.snapshot();
+    const LatencyHistogram::Snapshot blat = burstLatency.snapshot();
+    const std::uint64_t total =
+        tally.ok.load() + tally.c4xx.load() + tally.c5xx.load();
+    rep.add("loadgen_requests", total);
+    rep.add("loadgen_http_200", tally.ok.load());
+    rep.add("loadgen_http_4xx", tally.c4xx.load());
+    rep.add("loadgen_http_5xx", tally.c5xx.load());
+    rep.add("loadgen_transport_errors", tally.transport.load());
+    rep.add("loadgen_p50_us", lat.p50_us, "%.1f");
+    rep.add("loadgen_p99_us", lat.p99_us, "%.1f");
+    rep.add("loadgen_max_us", lat.max_us, "%.1f");
+    rep.add("loadgen_burst_p50_us", blat.p50_us, "%.1f");
+    rep.add("loadgen_burst_p99_us", blat.p99_us, "%.1f");
+    rep.add("loadgen_memo_hits", d_hits, "%.0f");
+    rep.add("loadgen_template_hits", d_template, "%.0f");
+    rep.add("loadgen_misses", d_misses, "%.0f");
+    rep.add("loadgen_coalesced", d_coalesced, "%.0f");
+    rep.add("loadgen_shed", scrape(after, "server", "shed"), "%.0f");
+    rep.add("loadgen_server_p99_us", server_p99, "%.1f");
+    rep.add("loadgen_conns", static_cast<std::uint64_t>(conns));
+
+    checks.expect(tally.c5xx.load() == 0, "zero 5xx responses observed");
+    checks.expect(tally.transport.load() == 0, "zero transport errors");
+    checks.expect(server_5xx == 0.0, "server counted zero 5xx");
+    checks.expect(d_template > 0.0,
+                  "template tier served the sweep mix (templateHits > 0)");
+    checks.expect(d_hits > 0.0, "memo tier served the zipf mix (hits > 0)");
+    checks.expect(d_requests == d_hits + d_template + d_disk + d_misses +
+                                    d_coalesced,
+                  "ServiceStats partition: requests == hits + "
+                  "templateHits + diskHits + misses + coalesced");
+    checks.expect(malformed400 == kMalformed.size() + 1,
+                  "every malformed/unknown-input request answered 400");
+    checks.expect(malformedStructured,
+                  "malformed requests got structured errors and the "
+                  "server kept serving");
+    checks.expect(server_p99 > 0.0, "server-side p99 latency reported");
+    checks.expect(lat.p99_us > 0.0, "client-side p99 latency reported");
+
     // ------------------------------------------------- fault scenario
     // A dedicated store-backed server (always in-process, even under
     // --connect: the fault injector is process-global) is marched
@@ -552,13 +603,6 @@ main(int argc, char **argv)
     // angles so every one bypasses the template tier and must talk to
     // the disk tier -- the traffic shape that exercises the breaker.
     const int fault_phase = args.quick ? 24 : 60;
-    std::uint64_t fault5xx = 0;
-    std::uint64_t faultTransport = 0;
-    double f_storeErrors = 0.0, f_degradedSkips = 0.0;
-    double f_recoveries = 0.0, f_diskHits = 0.0, f_records = 0.0;
-    bool faultDegraded = false, faultRecovered = false;
-    bool faultHealthz = false, faultDrain = false;
-    bool faultPartition = false, faultRestart = true;
     {
         const std::string storePath =
             format("/tmp/qompress_loadgen_fault_%d.qst",
@@ -574,19 +618,22 @@ main(int argc, char **argv)
         fsrv->start();
         Client fc("127.0.0.1", fsrv->port(), args.seed + 77);
         Rng rng(args.seed + 4000);
-
+        std::uint64_t fault5xx = 0, faultTransport = 0;
+        auto send = [&](const std::string &p) {
+            int st = 0;
+            std::string b;
+            if (!fc.requestWithRetry(p, st, b))
+                ++faultTransport;
+            else if (st >= 500)
+                ++fault5xx;
+        };
         auto drive = [&](int n, std::vector<std::string> *save) {
             for (int i = 0; i < n; ++i) {
                 const std::string p = postCompile(
                     rerollAngles(sweepBase, rng).toQasm(), "?full=1");
                 if (save)
                     save->push_back(p);
-                int st = 0;
-                std::string b;
-                if (!fc.requestWithRetry(p, st, b))
-                    ++faultTransport;
-                else if (st >= 500)
-                    ++fault5xx;
+                send(p);
             }
         };
 
@@ -610,14 +657,23 @@ main(int argc, char **argv)
             int st = 0;
             std::string b;
             fc.request(get("/metrics"), st, b);
-            faultDegraded =
-                scrapeString(b, "service", "tierState") == "degraded";
-            f_storeErrors = scrape(b, "service", "storeErrors");
-            f_degradedSkips = scrape(b, "service", "degradedSkips");
+            const double storeErrors = scrape(b, "service", "storeErrors");
+            rep.add("loadgen_fault_store_errors", storeErrors, "%.0f");
+            rep.add("loadgen_fault_degraded_skips",
+                    scrape(b, "service", "degradedSkips"), "%.0f");
+            checks.expect(storeErrors > 0.0,
+                          "fault scenario: /metrics surfaced storeErrors "
+                          "> 0");
+            checks.expect(
+                scrapeString(b, "service", "tierState") == "degraded",
+                "fault scenario: disk tier degraded under sustained "
+                "faults");
             // Health stays 200 (memory tiers serve) but names the state.
             fc.request(get("/healthz"), st, b);
-            faultHealthz =
-                st == 200 && b.find("degraded") != std::string::npos;
+            checks.expect(st == 200 &&
+                              b.find("degraded") != std::string::npos,
+                          "fault scenario: /healthz reported degraded "
+                          "(still 200)");
         }
 
         // Phase C, recovered: faults gone, cooldown elapsed. Clearing
@@ -626,45 +682,54 @@ main(int argc, char **argv)
         // breaker and the rest are served as diskHits.
         std::this_thread::sleep_for(std::chrono::milliseconds(120));
         fsrv->service().clearCache();
-        for (const std::string &p : phaseA) {
-            int st = 0;
-            std::string b;
-            if (!fc.requestWithRetry(p, st, b))
-                ++faultTransport;
-            else if (st >= 500)
-                ++fault5xx;
-        }
+        for (const std::string &p : phaseA)
+            send(p);
+        rep.add("loadgen_fault_5xx", fault5xx);
+        checks.expect(fault5xx == 0 && faultTransport == 0,
+                      "fault scenario: zero 5xx/transport errors under "
+                      "disk faults");
         {
             int st = 0;
             std::string b;
             fc.request(get("/metrics"), st, b);
-            faultRecovered =
-                scrapeString(b, "service", "tierState") == "ok";
-            f_recoveries = scrape(b, "service", "recoveries");
-            f_diskHits = scrape(b, "service", "diskHits");
-            faultPartition =
-                scrape(b, "service", "requests") ==
-                scrape(b, "service", "hits") +
-                    scrape(b, "service", "templateHits") +
-                    scrape(b, "service", "diskHits") +
-                    scrape(b, "service", "misses") +
-                    scrape(b, "service", "coalesced");
+            const double recoveries = scrape(b, "service", "recoveries");
+            const double diskHits = scrape(b, "service", "diskHits");
+            rep.add("loadgen_fault_recoveries", recoveries, "%.0f");
+            rep.add("loadgen_fault_disk_hits", diskHits, "%.0f");
+            checks.expect(
+                scrapeString(b, "service", "tierState") == "ok" &&
+                    recoveries > 0.0,
+                "fault scenario: tier recovered after faults cleared");
+            checks.expect(diskHits > 0.0,
+                          "fault scenario: recovered tier served disk "
+                          "hits");
+            checks.expect(scrape(b, "service", "requests") ==
+                              scrape(b, "service", "hits") +
+                                  scrape(b, "service", "templateHits") +
+                                  diskHits + scrape(b, "service", "misses") +
+                                  scrape(b, "service", "coalesced"),
+                          "fault scenario: ServiceStats partition held "
+                          "through the episode");
             // Draining: /healthz flips to 503 + Retry-After before
             // stop(), the signal load balancers bleed traffic on.
             fsrv->beginDrain();
             fc.request(get("/healthz"), st, b);
-            faultDrain =
-                st == 503 && b.find("draining") != std::string::npos;
+            checks.expect(st == 503 &&
+                              b.find("draining") != std::string::npos,
+                          "fault scenario: /healthz answered 503 draining "
+                          "after beginDrain()");
         }
         fsrv->stop();
         fsrv.reset();
 
         // Cold restart over the log the faults battered: every record
         // that survived must load and decode.
+        bool faultRestart = true;
+        std::uint64_t records = 0;
         try {
             ArtifactStore store(storePath);
-            f_records = static_cast<double>(store.records());
-            if (store.records() == 0)
+            records = store.records();
+            if (records == 0)
                 faultRestart = false;
             for (const ArtifactKey &key : store.keys()) {
                 std::vector<std::uint8_t> blob;
@@ -682,171 +747,21 @@ main(int argc, char **argv)
             faultRestart = false;
         }
         ::unlink(storePath.c_str());
-        std::printf("loadgen: fault scenario: %d+%d+%zu requests, "
-                    "%llu 5xx, storeErrors %.0f, recoveries %.0f, "
-                    "diskHits %.0f, records %.0f\n",
-                    fault_phase, fault_phase, phaseA.size(),
-                    static_cast<unsigned long long>(fault5xx),
-                    f_storeErrors, f_recoveries, f_diskHits, f_records);
+        rep.add("loadgen_fault_store_records", records);
+        checks.expect(faultRestart,
+                      "fault scenario: cold restart recovered the log and "
+                      "every record decodes");
     }
-
-    // ------------------------------------------------------- metrics
-    Client probe(host, port);
-    probe.request(get("/metrics"), status, body);
-    const std::string after = body;
-    const double d_requests = scrape(after, "service", "requests") -
-                              scrape(before, "service", "requests");
-    const double d_hits = scrape(after, "service", "hits") -
-                          scrape(before, "service", "hits");
-    const double d_template = scrape(after, "service", "templateHits") -
-                              scrape(before, "service", "templateHits");
-    const double d_misses = scrape(after, "service", "misses") -
-                            scrape(before, "service", "misses");
-    const double d_coalesced = scrape(after, "service", "coalesced") -
-                               scrape(before, "service", "coalesced");
-    const double d_disk = scrape(after, "service", "diskHits") -
-                          scrape(before, "service", "diskHits");
-    const double server_5xx = scrape(after, "server", "serverErrors");
-    const double server_shed = scrape(after, "server", "shed");
-    const double server_p99 = scrape(after, "latency", "p99_us");
-
-    const LatencyHistogram::Snapshot lat = latency.snapshot();
-    const LatencyHistogram::Snapshot blat = burstLatency.snapshot();
-    const std::uint64_t total =
-        tally.ok.load() + tally.c4xx.load() + tally.c5xx.load();
-    const double throughput =
-        zipf_ms > 0.0 ? 1000.0 * zipf_requests / zipf_ms : 0.0;
-
-    std::printf(
-        "loadgen: %llu requests (%llu ok, %llu 4xx, %llu 5xx, "
-        "%llu transport), zipf %.1f ms (%.0f req/s), sweep %.1f ms, "
-        "p50 %.0f us, p99 %.0f us\n",
-        static_cast<unsigned long long>(total),
-        static_cast<unsigned long long>(tally.ok.load()),
-        static_cast<unsigned long long>(tally.c4xx.load()),
-        static_cast<unsigned long long>(tally.c5xx.load()),
-        static_cast<unsigned long long>(tally.transport.load()),
-        zipf_ms, throughput, sweep_ms, lat.p50_us, lat.p99_us);
-
-    if (args.check) {
-        std::printf("check mode: asserting acceptance invariants\n");
-        check(tally.c5xx.load() == 0, "zero 5xx responses observed");
-        check(tally.transport.load() == 0, "zero transport errors");
-        check(server_5xx == 0.0, "server counted zero 5xx");
-        check(d_template > 0.0,
-              "template tier served the sweep mix (templateHits > 0)");
-        check(d_hits > 0.0, "memo tier served the zipf mix (hits > 0)");
-        check(d_requests == d_hits + d_template + d_disk + d_misses +
-                                d_coalesced,
-              "ServiceStats partition: requests == hits + templateHits "
-              "+ diskHits + misses + coalesced");
-        check(malformed400 == kMalformed.size() + 1,
-              "every malformed/unknown-input request answered 400");
-        check(malformedStructured,
-              "malformed requests got structured errors and the server "
-              "kept serving");
-        check(server_p99 > 0.0, "server-side p99 latency reported");
-        check(lat.p99_us > 0.0, "client-side p99 latency reported");
-        check(fault5xx == 0 && faultTransport == 0,
-              "fault scenario: zero 5xx/transport errors under disk "
-              "faults");
-        check(f_storeErrors > 0.0,
-              "fault scenario: /metrics surfaced storeErrors > 0");
-        check(faultDegraded,
-              "fault scenario: disk tier degraded under sustained "
-              "faults");
-        check(faultHealthz,
-              "fault scenario: /healthz reported degraded (still 200)");
-        check(faultRecovered && f_recoveries > 0.0,
-              "fault scenario: tier recovered after faults cleared");
-        check(f_diskHits > 0.0,
-              "fault scenario: recovered tier served disk hits");
-        check(faultPartition,
-              "fault scenario: ServiceStats partition held through the "
-              "episode");
-        check(faultDrain,
-              "fault scenario: /healthz answered 503 draining after "
-              "beginDrain()");
-        check(faultRestart,
-              "fault scenario: cold restart recovered the log and every "
-              "record decodes");
-        if (g_failures > 0) {
-            std::printf("check: %d FAILURE(S)\n", g_failures);
-            return 1;
-        }
-        std::printf("check: all invariants hold\n");
-    }
-
-    // ------------------------------------------------------- JSON out
-    const char *qt_env = std::getenv("QOMPRESS_THREADS");
-#ifndef QOMPRESS_BUILD_TYPE
-#define QOMPRESS_BUILD_TYPE "unknown"
-#endif
-    const std::string json = format(
-        "{\n"
-        "  \"bench\": \"loadgen\",\n"
-        "  \"host\": {\n"
-        "    \"nproc\": %u,\n"
-        "    \"qompress_threads\": \"%s\",\n"
-        "    \"build_type\": \"%s\"\n"
-        "  },\n"
-        "  \"metrics\": {\n"
-        "    \"loadgen_zipf_warm_ms\": %.2f,\n"
-        "    \"loadgen_sweep_warm_ms\": %.2f,\n"
-        "    \"loadgen_warmup_cold_ms\": %.2f,\n"
-        "    \"loadgen_throughput_rps\": %.1f,\n"
-        "    \"loadgen_requests\": %llu,\n"
-        "    \"loadgen_http_200\": %llu,\n"
-        "    \"loadgen_http_4xx\": %llu,\n"
-        "    \"loadgen_http_5xx\": %llu,\n"
-        "    \"loadgen_transport_errors\": %llu,\n"
-        "    \"loadgen_p50_us\": %.1f,\n"
-        "    \"loadgen_p99_us\": %.1f,\n"
-        "    \"loadgen_max_us\": %.1f,\n"
-        "    \"loadgen_burst_p50_us\": %.1f,\n"
-        "    \"loadgen_burst_p99_us\": %.1f,\n"
-        "    \"loadgen_memo_hits\": %.0f,\n"
-        "    \"loadgen_template_hits\": %.0f,\n"
-        "    \"loadgen_misses\": %.0f,\n"
-        "    \"loadgen_coalesced\": %.0f,\n"
-        "    \"loadgen_shed\": %.0f,\n"
-        "    \"loadgen_server_p99_us\": %.1f,\n"
-        "    \"loadgen_fault_5xx\": %llu,\n"
-        "    \"loadgen_fault_store_errors\": %.0f,\n"
-        "    \"loadgen_fault_degraded_skips\": %.0f,\n"
-        "    \"loadgen_fault_recoveries\": %.0f,\n"
-        "    \"loadgen_fault_disk_hits\": %.0f,\n"
-        "    \"loadgen_fault_store_records\": %.0f,\n"
-        "    \"loadgen_conns\": %d\n"
-        "  }\n"
-        "}\n",
-        std::thread::hardware_concurrency(),
-        qt_env ? qt_env : "unset", QOMPRESS_BUILD_TYPE, zipf_ms,
-        sweep_ms, warmup_ms, throughput,
-        static_cast<unsigned long long>(total),
-        static_cast<unsigned long long>(tally.ok.load()),
-        static_cast<unsigned long long>(tally.c4xx.load()),
-        static_cast<unsigned long long>(tally.c5xx.load()),
-        static_cast<unsigned long long>(tally.transport.load()),
-        lat.p50_us, lat.p99_us, lat.max_us, blat.p50_us, blat.p99_us,
-        d_hits, d_template, d_misses, d_coalesced, server_shed,
-        server_p99, static_cast<unsigned long long>(fault5xx),
-        f_storeErrors, f_degradedSkips, f_recoveries, f_diskHits,
-        f_records, conns);
 
     if (!args.out.empty()) {
-        std::FILE *f = std::fopen(args.out.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         args.out.c_str());
+        if (!rep.save(args.out))
             return 1;
-        }
-        std::fputs(json.c_str(), f);
-        std::fclose(f);
         std::printf("wrote %s\n", args.out.c_str());
     } else {
-        std::fputs(json.c_str(), stdout);
+        std::fputs(rep.json().c_str(), stdout);
     }
+    if (args.check && checks.print() > 0)
+        return 1;
 
     if (own)
         own->stop();

@@ -65,9 +65,9 @@ BENCHMARK(BM_FullPipeline)->Arg(10)->Arg(20)->Arg(40);
 
 /**
  * The same pipeline behind the CompilerService front end with the memo
- * cache defeated (cleared per iteration): measures the request/response
- * overhead plus the context-pool win over BM_FullPipeline's cold
- * contexts.
+ * cache off (capacity 0, so every request compiles) while pooled
+ * contexts stay warm: measures the request/response overhead plus the
+ * context-pool win over BM_FullPipeline's cold contexts.
  */
 void
 BM_ServiceColdRequest(benchmark::State &state)
@@ -75,12 +75,12 @@ BM_ServiceColdRequest(benchmark::State &state)
     const Circuit c =
         benchmarkFamily("cuccaro").make(static_cast<int>(state.range(0)));
     const Topology topo = Topology::grid(c.numQubits());
-    CompilerService service;
+    ServiceOptions opts;
+    opts.cacheCapacity = 0;
+    CompilerService service(opts);
     const CompileRequest req =
         CompileRequest::forCircuit(c, topo, "eqm", CompilerConfig{}, kLib);
     for (auto _ : state) {
-        service.setCacheCapacity(0); // drop memo, keep pooled contexts
-        service.setCacheCapacity(256);
         auto res = service.compileSync(req);
         benchmark::DoNotOptimize(res->metrics.totalEps);
     }

@@ -1,20 +1,28 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction benches: argument
- * parsing, size sweeps, and ratio formatting.
+ * Shared helpers for the benches: argument parsing, size sweeps, and
+ * ratio formatting for the figure/table reproductions, plus the one
+ * section timer, the named-metric JSON report and the --check tally of
+ * the machine-readable benches (bench_hotpaths, bench_loadgen).
  *
- * Every bench prints the rows/series of one paper table or figure.
- * Common flags: --quick (smaller sweeps), --csv (machine-readable),
- * --sizes=a,b,c (override the size sweep).
+ * Every figure/table bench prints the rows/series of one paper table
+ * or figure. Common flags: --quick (smaller sweeps), --csv
+ * (machine-readable), --sizes=a,b,c (override the size sweep).
  */
 
 #ifndef QOMPRESS_BENCH_BENCH_UTIL_HH
 #define QOMPRESS_BENCH_BENCH_UTIL_HH
 
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -99,6 +107,143 @@ banner(const std::string &title, const std::string &paper_ref)
     std::cout << "=== " << title << " ===\n"
               << paper_ref << "\n\n";
 }
+
+/** @name Machine-readable reports (bench_hotpaths, bench_loadgen) @{ */
+
+/**
+ * The benches' one timing primitive. Each time() call is one timed
+ * window around @p fn, so setup done outside the call stays untimed;
+ * ms() is the mean window.
+ */
+class SectionTimer
+{
+  public:
+    /** Run @p fn once as a window; returns that window's ms. */
+    template <typename Fn>
+    double
+    time(Fn &&fn)
+    {
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        const double ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        totalMs_ += ms;
+        ++windows_;
+        return ms;
+    }
+
+    /** Mean window in milliseconds (0 before the first window). */
+    double ms() const { return windows_ ? totalMs_ / windows_ : 0.0; }
+
+  private:
+    double totalMs_ = 0.0;
+    std::uint64_t windows_ = 0;
+};
+
+/** @p slow_ms / @p fast_ms, or 0 when @p fast_ms is not positive. */
+inline double
+speedup(double slow_ms, double fast_ms)
+{
+    return fast_ms > 0.0 ? slow_ms / fast_ms : 0.0;
+}
+
+#ifndef QOMPRESS_BUILD_TYPE
+#define QOMPRESS_BUILD_TYPE "unknown"
+#endif
+
+/**
+ * One bench's JSON document, {"bench", "host", "metrics"}, with the
+ * metrics in the order they were added. The host object (nproc,
+ * QOMPRESS_THREADS, build type) keeps snapshots from different
+ * machines interpretable; tools/bench_diff.py compares two documents.
+ */
+class Report
+{
+  public:
+    explicit Report(std::string bench) : bench_(std::move(bench)) {}
+
+    /** @name Add one metric, rendered with printf format @p fmt. @{ */
+    void
+    add(const std::string &name, double value, const char *fmt = "%.4f")
+    {
+        metrics_.emplace_back(name, format(fmt, value));
+    }
+    void
+    add(const std::string &name, std::uint64_t value)
+    {
+        metrics_.emplace_back(name, std::to_string(value));
+    }
+    void
+    add(const std::string &name, bool value)
+    {
+        metrics_.emplace_back(name, value ? "true" : "false");
+    }
+    /** @} */
+
+    std::string
+    json() const
+    {
+        const char *threads = std::getenv("QOMPRESS_THREADS");
+        std::string out = format(
+            "{\n  \"bench\": \"%s\",\n  \"host\": {\n"
+            "    \"nproc\": %u,\n    \"qompress_threads\": \"%s\",\n"
+            "    \"build_type\": \"%s\"\n  },\n  \"metrics\": {\n",
+            bench_.c_str(), std::thread::hardware_concurrency(),
+            threads ? threads : "unset", QOMPRESS_BUILD_TYPE);
+        for (std::size_t i = 0; i < metrics_.size(); ++i) {
+            out += format("    \"%s\": %s%s\n", metrics_[i].first.c_str(),
+                          metrics_[i].second.c_str(),
+                          i + 1 < metrics_.size() ? "," : "");
+        }
+        return out + "  }\n}\n";
+    }
+
+    /** Write json() to @p path; false (with a message) on failure. */
+    bool
+    save(const std::string &path) const
+    {
+        std::ofstream out(path);
+        out << json();
+        if (!out)
+            std::cerr << "error: cannot write '" << path << "'\n";
+        return static_cast<bool>(out);
+    }
+
+  private:
+    std::string bench_;
+    std::vector<std::pair<std::string, std::string>> metrics_;
+};
+
+/**
+ * --check assertions, stated where their inputs are measured and
+ * printed together afterwards as PASS:/FAIL: lines on stderr.
+ */
+class Checks
+{
+  public:
+    void
+    expect(bool ok, std::string what)
+    {
+        results_.emplace_back(ok, std::move(what));
+    }
+
+    /** Print every assertion in order; returns the failure count. */
+    int
+    print() const
+    {
+        int failures = 0;
+        for (const auto &[ok, what] : results_) {
+            std::cerr << (ok ? "PASS: " : "FAIL: ") << what << '\n';
+            failures += ok ? 0 : 1;
+        }
+        return failures;
+    }
+
+  private:
+    std::vector<std::pair<bool, std::string>> results_;
+};
+/** @} */
 
 /** @name Randomized mixed-radix fixtures shared by bench_hotpaths and
  *  the differential tests. @{ */

@@ -2,7 +2,6 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <sstream>
 
 namespace qompress {
 
@@ -49,15 +48,6 @@ split(const std::string &s, char sep)
     }
     out.push_back(cur);
     return out;
-}
-
-std::string
-formatSig(double v, int digits)
-{
-    std::ostringstream os;
-    os.precision(digits);
-    os << v;
-    return os.str();
 }
 
 } // namespace qompress

@@ -22,9 +22,6 @@ std::string join(const std::vector<std::string> &parts,
 /** Split @p s on character @p sep (empty fields preserved). */
 std::vector<std::string> split(const std::string &s, char sep);
 
-/** Render a double with @p digits significant digits, trimming zeros. */
-std::string formatSig(double v, int digits = 4);
-
 } // namespace qompress
 
 #endif // QOMPRESS_COMMON_STRINGS_HH

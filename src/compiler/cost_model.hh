@@ -135,10 +135,13 @@ class CostModel
  * of candidate layouts) and still never serves a stale field.
  *
  * The cache must not outlive mutations of the underlying GateLibrary's
- * durations/fidelities (sensitivity sweeps): those change edge costs
- * without bumping any layout version. Layout::recordMutation() can
- * force invalidation in that case; otherwise scope one cache per
- * compile, as CompileContext does.
+ * durations/fidelities or of the calibration (sensitivity sweeps,
+ * calibration installs): those change edge costs without changing any
+ * occupancy, so no stamp would notice. Scope one cache per set of
+ * pricing inputs, as CompileContext does. The service pools contexts
+ * by the fingerprint of their topology, library and config, so a
+ * calibration install reaches compiles as a different context, never
+ * as a mutation of a live one.
  */
 class DistanceFieldCache
 {
@@ -146,7 +149,7 @@ class DistanceFieldCache
     explicit DistanceFieldCache(const CostModel &cost) : cost_(&cost) {}
 
     /** Cached CostModel::routingDistances. The reference stays valid
-     *  until the entry for @p source is recomputed or clear(). */
+     *  until the entry for @p source is recomputed. */
     const ShortestPaths &routing(SlotId source, const Layout &layout);
 
     /** Cached CostModel::mappingDistances. */
@@ -154,8 +157,6 @@ class DistanceFieldCache
 
     /** Cached CostModel::unitDistances (FQ's SWAP4 routing metric). */
     const ShortestPaths &unit(UnitId source, const Layout &layout);
-
-    void clear();
 
     /** @name Effectiveness counters (reported by bench_hotpaths and
      *  asserted by the invalidation stress tests). A lookup is exactly
@@ -179,10 +180,8 @@ class DistanceFieldCache
     {
         std::uint64_t layoutId = 0;
         std::uint64_t version = 0;
-        /** Per-unit (perturb-nonce << 8) | occupancy-signature at the
-         *  stamp; the nonce part makes recordMutation() perturbations
-         *  (invisible to occupancy bits) fail revalidation. */
-        std::vector<std::uint32_t> snap;
+        /** Per-unit occupancy signature at the stamp. */
+        std::vector<std::uint8_t> snap;
         ShortestPaths field;
     };
 

@@ -23,7 +23,6 @@ Layout::Layout(int num_qubits, int num_units)
     : qubitToSlot_(num_qubits, kInvalid),
       slotToQubit_(2 * num_units, kInvalid),
       unitEpoch_(num_units, 0),
-      unitNonce_(num_units, 0),
       id_(nextLayoutId())
 {
     QFATAL_IF(num_qubits < 0 || num_units < 0, "negative layout size");
@@ -33,7 +32,6 @@ Layout::Layout(const Layout &other)
     : qubitToSlot_(other.qubitToSlot_),
       slotToQubit_(other.slotToQubit_),
       unitEpoch_(other.unitEpoch_),
-      unitNonce_(other.unitNonce_),
       costVersion_(other.costVersion_),
       id_(nextLayoutId())
 {
@@ -46,7 +44,6 @@ Layout::operator=(const Layout &other)
         qubitToSlot_ = other.qubitToSlot_;
         slotToQubit_ = other.slotToQubit_;
         unitEpoch_ = other.unitEpoch_;
-        unitNonce_ = other.unitNonce_;
         costVersion_ = other.costVersion_;
         id_ = nextLayoutId();
     }
@@ -94,30 +91,11 @@ Layout::unitSignature(UnitId u) const
         (slotToQubit_[makeSlot(u, 1)] != kInvalid ? 2 : 0));
 }
 
-std::uint32_t
-Layout::unitPerturbNonce(UnitId u) const
-{
-    QPANIC_IF(u < 0 || u >= numUnits(), "unitPerturbNonce: bad unit ", u);
-    return unitNonce_[u];
-}
-
 void
 Layout::noteOccupancyChange(SlotId slot)
 {
     ++costVersion_;
     unitEpoch_[slotUnit(slot)] = costVersion_;
-}
-
-void
-Layout::recordMutation(SlotId slot)
-{
-    QPANIC_IF(slot < 0 || slot >= numSlots(),
-              "recordMutation: bad slot ", slot);
-    noteOccupancyChange(slot);
-    // Occupancy signatures cannot see an external cost change; the
-    // nonce makes cached fields that touched this unit fail
-    // revalidation and recompute.
-    ++unitNonce_[slotUnit(slot)];
 }
 
 void

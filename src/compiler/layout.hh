@@ -114,29 +114,12 @@ class Layout
      */
     std::uint64_t instanceId() const { return id_; }
 
-    /**
-     * Record an externally caused cost perturbation at @p slot (e.g. a
-     * per-unit calibration change that moves edge costs without moving
-     * a qubit): bumps costVersion(), the owning unit's epoch, AND the
-     * unit's perturbation nonce, so cached distance fields that
-     * touched the unit are *recomputed* -- occupancy signatures alone
-     * cannot see an external change, which is why the nonce exists.
-     * Scoped to this instance (and its copies); a cache shared with an
-     * unrelated Layout built after the perturbation does not see it.
-     */
-    void recordMutation(SlotId slot);
-
-    /** Count of recordMutation() calls against unit @p u; snapshotted
-     *  by DistanceFieldCache alongside the occupancy signature. */
-    std::uint32_t unitPerturbNonce(UnitId u) const;
-
   private:
     void noteOccupancyChange(SlotId slot);
 
     std::vector<SlotId> qubitToSlot_;
     std::vector<QubitId> slotToQubit_;
     std::vector<std::uint64_t> unitEpoch_;
-    std::vector<std::uint32_t> unitNonce_;
     std::uint64_t costVersion_ = 0;
     std::uint64_t id_ = 0;
 };

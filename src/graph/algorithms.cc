@@ -166,15 +166,4 @@ shortestCycleThrough(const Graph &g, int v)
     return cycle;
 }
 
-std::vector<int>
-cycleLengthPerVertex(const Graph &g)
-{
-    std::vector<int> out(g.numVertices(), 0);
-    for (int v = 0; v < g.numVertices(); ++v) {
-        const auto cyc = shortestCycleThrough(g, v);
-        out[v] = static_cast<int>(cyc.size());
-    }
-    return out;
-}
-
 } // namespace qompress

@@ -58,10 +58,6 @@ std::vector<int> connectedComponents(const Graph &g);
  */
 std::vector<int> shortestCycleThrough(const Graph &g, int v);
 
-/** Girth-style helper: length of shortest cycle through each vertex
- *  (0 if the vertex is on no cycle). */
-std::vector<int> cycleLengthPerVertex(const Graph &g);
-
 } // namespace qompress
 
 #endif // QOMPRESS_GRAPH_ALGORITHMS_HH

@@ -33,16 +33,6 @@ Circuit::add(Gate g)
     gates_.push_back(std::move(g));
 }
 
-void
-Circuit::append(const Circuit &other)
-{
-    QPANIC_IF(other.numQubits_ > numQubits_,
-              "append: circuit of ", other.numQubits_,
-              " qubits into circuit of ", numQubits_);
-    for (const auto &g : other.gates_)
-        add(g);
-}
-
 int
 Circuit::countGatesWithArity(int arity) const
 {
@@ -74,16 +64,6 @@ Circuit::depth() const
     return layers.empty()
         ? 0
         : *std::max_element(layers.begin(), layers.end());
-}
-
-int
-Circuit::highestUsedQubit() const
-{
-    int hi = 0;
-    for (const auto &g : gates_)
-        for (QubitId q : g.qubits)
-            hi = std::max(hi, q + 1);
-    return hi;
 }
 
 std::string

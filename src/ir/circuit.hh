@@ -58,9 +58,6 @@ class Circuit
     }
     /** @} */
 
-    /** Append all gates of @p other (qubit counts must match). */
-    void append(const Circuit &other);
-
     /** Count gates with a given operand count. */
     int countGatesWithArity(int arity) const;
 
@@ -78,9 +75,6 @@ class Circuit
 
     /** Number of ASAP layers (logical depth). */
     int depth() const;
-
-    /** Greatest operand id used plus one (<= numQubits()). */
-    int highestUsedQubit() const;
 
     /** OpenQASM 2.0-flavoured text dump. */
     std::string toQasm() const;

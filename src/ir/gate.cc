@@ -1,6 +1,5 @@
 #include "ir/gate.hh"
 
-#include <algorithm>
 #include <array>
 
 #include "common/error.hh"
@@ -57,12 +56,6 @@ gateName(GateType t)
         return out;
     }();
     return names[static_cast<std::size_t>(t)];
-}
-
-bool
-Gate::actsOn(QubitId q) const
-{
-    return std::find(qubits.begin(), qubits.end(), q) != qubits.end();
 }
 
 std::string

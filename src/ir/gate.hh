@@ -45,9 +45,6 @@ struct Gate
     /** Operand count convenience. */
     int arity() const { return static_cast<int>(qubits.size()); }
 
-    /** True iff the gate touches @p q. */
-    bool actsOn(QubitId q) const;
-
     /** "cx q3, q7" style rendering. */
     std::string str() const;
 };

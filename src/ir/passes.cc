@@ -176,22 +176,6 @@ mergeRotations(const Circuit &in)
 }
 
 Circuit
-decomposeSwaps(const Circuit &in)
-{
-    Circuit out(in.numQubits(), in.name());
-    for (const auto &g : in.gates()) {
-        if (g.type == GateType::Swap) {
-            out.cx(g.qubits[0], g.qubits[1]);
-            out.cx(g.qubits[1], g.qubits[0]);
-            out.cx(g.qubits[0], g.qubits[1]);
-        } else {
-            out.add(g);
-        }
-    }
-    return out;
-}
-
-Circuit
 bindParams(const Circuit &in, const std::vector<double> &values)
 {
     QPANIC_IF(values.empty(), "bindParams: empty value vector");

@@ -35,9 +35,6 @@ Circuit cancelAdjacentPairs(const Circuit &in);
  */
 Circuit mergeRotations(const Circuit &in);
 
-/** Replace every SWAP with the canonical three-CX expansion. */
-Circuit decomposeSwaps(const Circuit &in);
-
 /**
  * Rebind the circuit's rotation angles positionally: the k-th
  * parameterized gate (program order) gets values[k % values.size()],

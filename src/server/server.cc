@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <variant>
 
 #include "circuits/registry.hh"
 #include "common/error.hh"
@@ -103,6 +104,42 @@ resultJson(const std::string &name, const std::string &strategy,
         res.compressions.size(), m.numGates, m.numRoutingGates,
         m.numTwoUnitGates, m.numEncodedUnits, m.durationNs, m.gateEps,
         m.coherenceEps, m.totalEps);
+}
+
+/** @name /metrics rendering of one stats field: a count as a number,
+ *  the disk-tier state as its quoted name. @{ */
+template <typename Stats>
+std::string
+fieldJson(const Stats &s, std::uint64_t Stats::*count)
+{
+    return std::to_string(s.*count);
+}
+
+template <typename Stats>
+std::string
+fieldJson(const Stats &s, DiskTierState Stats::*state)
+{
+    return format("\"%s\"", diskTierStateName(s.*state));
+}
+
+template <typename Stats, typename... Members>
+std::string
+fieldJson(const Stats &s, const std::variant<Members...> &member)
+{
+    return std::visit([&](auto m) { return fieldJson(s, m); }, member);
+}
+/** @} */
+
+/** `"key": value` for every entry of a stats field list, in order. */
+template <typename Stats, typename Fields>
+std::string
+fieldsJson(const Stats &s, const Fields &fields)
+{
+    std::vector<std::string> rows;
+    for (const auto &[name, member] : fields)
+        rows.push_back(format("\"%s\": %s", name,
+                              fieldJson(s, member).c_str()));
+    return join(rows, ", ");
 }
 
 } // namespace
@@ -580,6 +617,8 @@ QompressServer::stats() const
         std::lock_guard<std::mutex> lk(qmu_);
         s.queueDepth = queue_.size();
     }
+    s.workers = static_cast<std::uint64_t>(opts_.workers);
+    s.maxQueue = opts_.maxQueue;
     s.latency = latency_.snapshot();
     return s;
 }
@@ -600,65 +639,15 @@ QompressServer::metricsJson() const
             d.calibrated ? "true" : "false",
             static_cast<unsigned long long>(d.calVersion)));
     }
-    const std::string devices = join(devrows, ", ");
-    // Service keys mirror the ServiceStats field names verbatim so
-    // scrapers (bench_loadgen --check, dashboards) match the header.
-    return format(
-        "{\n"
-        "  \"server\": {\"accepted\": %llu, \"shed\": %llu, "
-        "\"requests\": %llu, \"ok\": %llu, \"clientErrors\": %llu, "
-        "\"serverErrors\": %llu, \"deadlineMisses\": %llu, "
-        "\"queueDepth\": %zu, \"workers\": %d, \"maxQueue\": %zu},\n"
-        "  \"latency\": {\"count\": %llu, \"mean_us\": %.1f, "
-        "\"p50_us\": %.1f, \"p99_us\": %.1f, \"max_us\": %.1f},\n"
-        "  \"service\": {\"requests\": %llu, \"hits\": %llu, "
-        "\"misses\": %llu, \"coalesced\": %llu, \"evictions\": %llu, "
-        "\"cacheSize\": %zu, \"cacheCapacity\": %zu, "
-        "\"templateHits\": %llu, \"templateMisses\": %llu, "
-        "\"templateEvictions\": %llu, \"templateSize\": %zu, "
-        "\"templateCapacity\": %zu, \"diskHits\": %llu, "
-        "\"diskWrites\": %llu, \"sizeEvictions\": %llu, "
-        "\"bytesInUse\": %zu, \"bytesCapacity\": %zu, "
-        "\"storeRecords\": %zu, \"storeBytes\": %llu, "
-        "\"storeErrors\": %llu, \"degradedSkips\": %llu, "
-        "\"recoveries\": %llu, \"tierState\": \"%s\", "
-        "\"contextsCreated\": %llu, "
-        "\"contextsReused\": %llu, \"pooledContexts\": %zu},\n"
-        "  \"devices\": {%s}\n"
-        "}\n",
-        static_cast<unsigned long long>(sv.accepted),
-        static_cast<unsigned long long>(sv.shed),
-        static_cast<unsigned long long>(sv.requests),
-        static_cast<unsigned long long>(sv.ok),
-        static_cast<unsigned long long>(sv.clientErrors),
-        static_cast<unsigned long long>(sv.serverErrors),
-        static_cast<unsigned long long>(sv.deadlineMisses),
-        sv.queueDepth, opts_.workers, opts_.maxQueue,
-        static_cast<unsigned long long>(sv.latency.count),
-        sv.latency.mean_us, sv.latency.p50_us, sv.latency.p99_us,
-        sv.latency.max_us,
-        static_cast<unsigned long long>(st.requests),
-        static_cast<unsigned long long>(st.hits),
-        static_cast<unsigned long long>(st.misses),
-        static_cast<unsigned long long>(st.coalesced),
-        static_cast<unsigned long long>(st.evictions), st.cacheSize,
-        st.cacheCapacity,
-        static_cast<unsigned long long>(st.templateHits),
-        static_cast<unsigned long long>(st.templateMisses),
-        static_cast<unsigned long long>(st.templateEvictions),
-        st.templateSize, st.templateCapacity,
-        static_cast<unsigned long long>(st.diskHits),
-        static_cast<unsigned long long>(st.diskWrites),
-        static_cast<unsigned long long>(st.sizeEvictions),
-        st.bytesInUse, st.bytesCapacity, st.storeRecords,
-        static_cast<unsigned long long>(st.storeBytes),
-        static_cast<unsigned long long>(st.storeErrors),
-        static_cast<unsigned long long>(st.degradedSkips),
-        static_cast<unsigned long long>(st.recoveries),
-        diskTierStateName(st.tierState),
-        static_cast<unsigned long long>(st.contextsCreated),
-        static_cast<unsigned long long>(st.contextsReused),
-        st.pooledContexts, devices.c_str());
+    const LatencyHistogram::Snapshot &lat = sv.latency;
+    return "{\n  \"server\": {" + fieldsJson(sv, kServerStatsFields) +
+           "},\n" +
+           format("  \"latency\": {\"count\": %llu, \"mean_us\": %.1f, "
+                  "\"p50_us\": %.1f, \"p99_us\": %.1f, \"max_us\": %.1f},\n",
+                  static_cast<unsigned long long>(lat.count), lat.mean_us,
+                  lat.p50_us, lat.p99_us, lat.max_us) +
+           "  \"service\": {" + fieldsJson(st, kServiceStatsFields) +
+           "},\n  \"devices\": {" + join(devrows, ", ") + "}\n}\n";
 }
 
 } // namespace qompress

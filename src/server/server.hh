@@ -34,9 +34,10 @@
  *                            every subsequent compile against it --
  *                            the cache-invalidation path the smoke
  *                            test drives over the wire
- *   GET  /metrics            server counters + latency histogram +
- *                            the full ServiceStats snapshot + the
- *                            device registry, as JSON
+ *   GET  /metrics            the ServerStats counts, the latency
+ *                            histogram, the full ServiceStats snapshot
+ *                            (both rendered from their field lists)
+ *                            and the device registry, as JSON
  *   GET  /healthz            health probe; body {"status": "..."} is
  *                            "ok" (fully healthy), "degraded" (disk
  *                            tier circuit breaker open, memory tiers
@@ -77,10 +78,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "server/histogram.hh"
@@ -137,7 +140,7 @@ struct ServerOptions
     ServiceOptions service;
 };
 
-/** Monotonic server counters plus a latency snapshot. */
+/** Monotonic server counters, gauges, and a latency snapshot. */
 struct ServerStats
 {
     std::uint64_t accepted = 0;    ///< connections taken off the socket
@@ -147,9 +150,33 @@ struct ServerStats
     std::uint64_t clientErrors = 0; ///< 4xx responses
     std::uint64_t serverErrors = 0; ///< 5xx responses (excluding shed 503s)
     std::uint64_t deadlineMisses = 0; ///< 504s (also counted in serverErrors)
-    std::size_t queueDepth = 0;    ///< connections waiting right now
+    std::uint64_t queueDepth = 0;  ///< connections waiting right now
+    std::uint64_t workers = 0;     ///< ServerOptions::workers
+    std::uint64_t maxQueue = 0;    ///< ServerOptions::maxQueue
     LatencyHistogram::Snapshot latency; ///< per-request service time
 };
+
+/** Every ServerStats count under its /metrics key, in /metrics order
+ *  (the latency snapshot renders as its own section). A new field is
+ *  one member above plus one entry here; the static_assert below fails
+ *  when the entry is missing. */
+inline constexpr std::pair<const char *, std::uint64_t ServerStats::*>
+    kServerStatsFields[] = {
+        {"accepted", &ServerStats::accepted},
+        {"shed", &ServerStats::shed},
+        {"requests", &ServerStats::requests},
+        {"ok", &ServerStats::ok},
+        {"clientErrors", &ServerStats::clientErrors},
+        {"serverErrors", &ServerStats::serverErrors},
+        {"deadlineMisses", &ServerStats::deadlineMisses},
+        {"queueDepth", &ServerStats::queueDepth},
+        {"workers", &ServerStats::workers},
+        {"maxQueue", &ServerStats::maxQueue},
+};
+static_assert(sizeof(ServerStats) ==
+                  std::size(kServerStatsFields) * sizeof(std::uint64_t) +
+                      sizeof(LatencyHistogram::Snapshot),
+              "every ServerStats count needs a kServerStatsFields entry");
 
 /** See the file comment. */
 class QompressServer

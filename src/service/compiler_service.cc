@@ -103,10 +103,10 @@ CompileRequest::forDevice(Circuit c, std::string device,
                           std::string strategy, CompilerConfig cfg,
                           GateLibrary lib)
 {
-    // The topology is a placeholder: compileSync swaps in the
-    // registered device's topology (and calibration) before anything
-    // reads it. CompileRequest has no unset-topology state because
-    // Topology is not default-constructible.
+    // The topology is a placeholder: compileSync compiles against the
+    // registered device's topology (and calibration) and never reads
+    // it. CompileRequest has no unset-topology state because Topology
+    // is not default-constructible.
     CompileRequest req =
         forCircuit(std::move(c), Topology::line(1), std::move(strategy),
                    std::move(cfg), std::move(lib));
@@ -132,28 +132,28 @@ CompilerService::CompilerService(ServiceOptions opts)
 CompileArtifact
 CompilerService::compileSync(const CompileRequest &req)
 {
-    // A by-name request resolves against the registry first: the
-    // device's topology and CURRENT calibration replace the request's
-    // own, then the request proceeds as an ordinary content-addressed
-    // compile. Because the calibration is part of configFingerprint,
-    // a calibration update naturally re-keys every subsequent request
-    // for that device (and only that device). The recursion happens
-    // before any counter is touched, so the request still counts once.
+    // A by-name request compiles against the registered device's
+    // topology and CURRENT calibration, bound here in place of the
+    // request's own; the request itself is never copied. Because the
+    // calibration is part of configFingerprint, a calibration update
+    // re-keys every subsequent request for that device (and only that
+    // device), and by-name and equal explicit requests share entries.
+    std::optional<Device> dev;
+    CompilerConfig devConfig;
     if (!req.device.empty()) {
-        Device dev = devices_.get(req.device);
-        CompileRequest resolved = req;
-        resolved.device.clear();
-        resolved.topology = std::move(dev.topology);
-        resolved.config.calibration = std::move(dev.calibration);
-        return compileSync(resolved);
+        dev = devices_.get(req.device);
+        devConfig = req.config;
+        devConfig.calibration = dev->calibration;
     }
+    const Topology &topology = dev ? dev->topology : req.topology;
+    const CompilerConfig &config = dev ? devConfig : req.config;
 
     const Circuit &circuit = req.circuit;
     RequestKey key;
     key.circuit = circuitFingerprint(circuit);
-    key.topo = topologyFingerprint(req.topology);
+    key.topo = topologyFingerprint(topology);
     key.lib = libraryFingerprint(req.library);
-    key.cfg = configFingerprint(req.config);
+    key.cfg = configFingerprint(config);
     key.strategy = req.strategy;
     Fingerprinter cf;
     cf.mixU64(key.topo);
@@ -166,21 +166,20 @@ CompilerService::compileSync(const CompileRequest &req)
     // case) must not pay the O(gates) structural walk.
     const bool tier_on =
         opts_.templateCacheCapacity > 0 && !req.fullCompile;
+    const bool memo = opts_.cacheCapacity > 0;
     bool tmpl_eligible = false;
     RequestKey tkey;
 
     std::promise<CompileArtifact> prom;
     std::shared_future<CompileArtifact> wait_on;
-    bool memo = false;
     TemplatePtr tmpl;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        ++requests_;
-        memo = opts_.cacheCapacity > 0;
+        ++stats_.requests;
         if (memo) {
             auto it = index_.find(key);
             if (it != index_.end()) {
-                ++hits_;
+                ++stats_.hits;
                 lru_.splice(lru_.begin(), lru_, it->second);
                 return it->second->artifact;
             }
@@ -188,7 +187,7 @@ CompilerService::compileSync(const CompileRequest &req)
             if (jt != inflight_.end()) {
                 // An identical compile is already running; wait for it
                 // (outside the lock) instead of compiling twice.
-                ++coalesced_;
+                ++stats_.coalesced;
                 wait_on = jt->second;
             }
         }
@@ -211,7 +210,7 @@ CompilerService::compileSync(const CompileRequest &req)
                     structuralCircuitFingerprint(circuit).value;
                 auto tt = templateIndex_.find(tkey);
                 if (tt != templateIndex_.end()) {
-                    ++templateHits_;
+                    ++stats_.templateHits;
                     templateLru_.splice(templateLru_.begin(),
                                         templateLru_, tt->second);
                     tmpl = tt->second->second;
@@ -219,7 +218,7 @@ CompilerService::compileSync(const CompileRequest &req)
                     // Eligible but no template; whether this request
                     // lands as a diskHit or a miss is only knowable
                     // after the disk probe below.
-                    ++templateMisses_;
+                    ++stats_.templateMisses;
                 }
             }
             if (memo)
@@ -273,9 +272,9 @@ CompilerService::compileSync(const CompileRequest &req)
             // template was built under this same calibration.
             artifact = std::make_shared<const CompileResult>(
                 rebindTemplate(*tmpl, circuit, req.library,
-                               req.config.calibration.get()));
+                               config.calibration.get()));
         } else {
-            artifact = compileUncached(req, ctx_fp);
+            artifact = compileUncached(req, topology, config, ctx_fp);
         }
     } catch (...) {
         std::lock_guard<std::mutex> lk(mu_);
@@ -283,7 +282,7 @@ CompilerService::compileSync(const CompileRequest &req)
         // out of rebind stays under its templateHit; anything else
         // counts as the miss it (unsuccessfully) compiled for.
         if (!tmpl)
-            ++misses_;
+            ++stats_.misses;
         if (memo) {
             prom.set_exception(std::current_exception());
             inflight_.erase(key);
@@ -322,12 +321,12 @@ CompilerService::compileSync(const CompileRequest &req)
         std::lock_guard<std::mutex> lk(mu_);
         if (!tmpl) {
             if (from_disk)
-                ++diskHits_;
+                ++stats_.diskHits;
             else
-                ++misses_;
+                ++stats_.misses;
         }
         if (wrote)
-            ++diskWrites_;
+            ++stats_.diskWrites;
         if (fresh && !templateIndex_.count(tkey)) {
             // Keep-first on a racing extraction: templates of the same
             // structure are interchangeable, so the loser is dropped.
@@ -336,12 +335,12 @@ CompilerService::compileSync(const CompileRequest &req)
             while (templateLru_.size() > opts_.templateCacheCapacity) {
                 templateIndex_.erase(templateLru_.back().first);
                 templateLru_.pop_back();
-                ++templateEvictions_;
+                ++stats_.templateEvictions;
             }
         }
         if (memo) {
             lru_.push_front(LruEntry{key, artifact, bytes});
-            bytesInUse_ += bytes;
+            stats_.bytesInUse += bytes;
             index_[key] = lru_.begin();
             evictOverCapacityLocked();
             prom.set_value(artifact);
@@ -353,18 +352,20 @@ CompilerService::compileSync(const CompileRequest &req)
 
 CompileArtifact
 CompilerService::compileUncached(const CompileRequest &req,
+                                 const Topology &topology,
+                                 const CompilerConfig &config,
                                  std::uint64_t ctx_fp)
 {
     // makeStrategy first: an unknown name must fail before a context
     // is built for it.
     const auto strategy = makeStrategy(req.strategy);
-    auto pc = acquireContext(req, ctx_fp);
+    auto pc = acquireContext(topology, req.library, config, ctx_fp);
     // The compile runs against the pooled copies (the context holds
     // pointers into them) but the *caller's* config, so per-request
     // knobs the context does not price (threads) are honored. The two
     // configs agree on every pricing field by construction of ctx_fp.
     CompileResult res = strategy->compile(req.circuit, pc->topo, pc->lib,
-                                          req.config, &*pc->ctx);
+                                          config, &*pc->ctx);
     // Pool the context (with its warmed distance fields) only on
     // success; a compile that threw may leave it mid-mutation.
     releaseContext(std::move(pc));
@@ -372,7 +373,9 @@ CompilerService::compileUncached(const CompileRequest &req,
 }
 
 std::unique_ptr<CompilerService::PooledContext>
-CompilerService::acquireContext(const CompileRequest &req,
+CompilerService::acquireContext(const Topology &topology,
+                                const GateLibrary &library,
+                                const CompilerConfig &config,
                                 std::uint64_t ctx_fp)
 {
     {
@@ -384,19 +387,19 @@ CompilerService::acquireContext(const CompileRequest &req,
             // or config content — those rest on the fingerprint alone
             // (see the Fingerprinter doc for the accepted trade).
             if ((*it)->fp == ctx_fp &&
-                (*it)->topo.numUnits() == req.topology.numUnits() &&
-                (*it)->topo.name() == req.topology.name()) {
+                (*it)->topo.numUnits() == topology.numUnits() &&
+                (*it)->topo.name() == topology.name()) {
                 auto pc = std::move(*it);
                 idle_.erase(std::next(it).base());
-                ++contextsReused_;
+                ++stats_.contextsReused;
                 return pc;
             }
         }
-        ++contextsCreated_;
+        ++stats_.contextsCreated;
     }
     // Build outside the lock: graph expansion is the expensive part.
-    return std::make_unique<PooledContext>(ctx_fp, req.topology,
-                                           req.library, req.config);
+    return std::make_unique<PooledContext>(ctx_fp, topology, library,
+                                           config);
 }
 
 void
@@ -414,21 +417,21 @@ void
 CompilerService::evictOverCapacityLocked()
 {
     while (lru_.size() > opts_.cacheCapacity) {
-        bytesInUse_ -= lru_.back().bytes;
+        stats_.bytesInUse -= lru_.back().bytes;
         index_.erase(lru_.back().key);
         lru_.pop_back();
-        ++evictions_;
+        ++stats_.evictions;
     }
     if (opts_.cacheBytesCapacity == 0)
         return;
     // Byte pressure evicts in the same LRU order but under its own
     // counter. The !empty() guard makes an artifact larger than the
     // whole budget simply not resident, rather than an infinite loop.
-    while (bytesInUse_ > opts_.cacheBytesCapacity && !lru_.empty()) {
-        bytesInUse_ -= lru_.back().bytes;
+    while (stats_.bytesInUse > opts_.cacheBytesCapacity && !lru_.empty()) {
+        stats_.bytesInUse -= lru_.back().bytes;
         index_.erase(lru_.back().key);
         lru_.pop_back();
-        ++sizeEvictions_;
+        ++stats_.sizeEvictions;
     }
 }
 
@@ -444,7 +447,7 @@ CompilerService::admitDiskRead()
                 std::chrono::steady_clock::now() - degradedSince_)
                 .count();
         if (down_ms < opts_.storeCooldownMs || probeInFlight_) {
-            ++degradedSkips_;
+            ++stats_.degradedSkips;
             return false;
         }
         // Cooldown elapsed: this request becomes the single half-open
@@ -459,7 +462,7 @@ CompilerService::admitDiskRead()
         return true;
     }
     noteStoreErrorLocked(); // refreshes degradedSince_
-    ++degradedSkips_;
+    ++stats_.degradedSkips;
     return false;
 }
 
@@ -472,14 +475,14 @@ CompilerService::admitDiskWrite()
     // Writes never probe: write-behind is optional, so recovery is the
     // read path's job and a broken disk costs misses one syscall, not
     // one syscall per would-be persist.
-    ++degradedSkips_;
+    ++stats_.degradedSkips;
     return false;
 }
 
 void
 CompilerService::noteStoreErrorLocked()
 {
-    ++storeErrors_;
+    ++stats_.storeErrors;
     ++consecutiveStoreErrors_;
     if (opts_.storeErrorThreshold == 0)
         return; // breaker disabled: count errors but never degrade
@@ -498,7 +501,7 @@ CompilerService::noteStoreSuccessLocked()
     consecutiveStoreErrors_ = 0;
     if (tierDegraded_) {
         tierDegraded_ = false;
-        ++recoveries_;
+        ++stats_.recoveries;
     }
 }
 
@@ -506,30 +509,13 @@ ServiceStats
 CompilerService::stats() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    ServiceStats s;
-    s.requests = requests_;
-    s.hits = hits_;
-    s.misses = misses_;
-    s.coalesced = coalesced_;
-    s.evictions = evictions_;
+    ServiceStats s = stats_;
     s.cacheSize = lru_.size();
     s.cacheCapacity = opts_.cacheCapacity;
-    s.contextsCreated = contextsCreated_;
-    s.contextsReused = contextsReused_;
-    s.pooledContexts = idle_.size();
-    s.templateHits = templateHits_;
-    s.templateMisses = templateMisses_;
-    s.templateEvictions = templateEvictions_;
     s.templateSize = templateLru_.size();
     s.templateCapacity = opts_.templateCacheCapacity;
-    s.sizeEvictions = sizeEvictions_;
-    s.bytesInUse = bytesInUse_;
     s.bytesCapacity = opts_.cacheBytesCapacity;
-    s.diskHits = diskHits_;
-    s.diskWrites = diskWrites_;
-    s.storeErrors = storeErrors_;
-    s.degradedSkips = degradedSkips_;
-    s.recoveries = recoveries_;
+    s.pooledContexts = idle_.size();
     s.tierState = !store_ ? DiskTierState::Off
                           : (tierDegraded_ ? DiskTierState::Degraded
                                            : DiskTierState::Ok);
@@ -549,21 +535,13 @@ CompilerService::clearCache()
     idle_.clear();
     templateLru_.clear();
     templateIndex_.clear();
-    bytesInUse_ = 0;
+    stats_.bytesInUse = 0;
     // store_ deliberately untouched: the disk tier exists to survive
     // in-memory cache drops and process restarts.
     // In-flight compiles keep their local promises; entries left in
     // inflight_ are owned by running compiles and expire when they
     // finish. Artifacts already handed out stay alive through their
     // shared_ptrs.
-}
-
-void
-CompilerService::setCacheCapacity(std::size_t capacity)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    opts_.cacheCapacity = capacity;
-    evictOverCapacityLocked();
 }
 
 } // namespace qompress

@@ -74,12 +74,15 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <iterator>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "arch/device.hh"
@@ -139,11 +142,12 @@ struct CompileRequest
     Circuit circuit;
 
     /** Compile against a REGISTERED device instead of the request's
-     *  own topology/calibration: when non-empty, the service swaps in
-     *  the named device's topology and current calibration (FatalError
-     *  for an unknown name) and ignores @ref topology. The artifact
-     *  key is derived from the resolved content, so requests by name
-     *  and by equal explicit content share cache entries. */
+     *  own topology/calibration: when non-empty, the service compiles
+     *  against the named device's topology and current calibration
+     *  (FatalError for an unknown name) and ignores @ref topology and
+     *  config.calibration. The artifact key is derived from the
+     *  resolved content, so requests by name and by equal explicit
+     *  content share cache entries. */
     std::string device;
 
     /** Bypass the template tier for this request: neither serve a
@@ -216,7 +220,11 @@ struct ServiceOptions
     double storeCooldownMs = 1000.0;
 };
 
-/** Observable service state (one consistent snapshot). */
+/**
+ * Observable service state (one consistent snapshot). The service
+ * keeps its counters in one of these; stats() copies it and fills in
+ * the gauges (sizes, capacities, store figures, tierState).
+ */
 struct ServiceStats
 {
     std::uint64_t requests = 0;    ///< total requests processed
@@ -224,8 +232,8 @@ struct ServiceStats
     std::uint64_t misses = 0;      ///< requests that ran a full compile
     std::uint64_t coalesced = 0;   ///< waited on an identical in-flight compile
     std::uint64_t evictions = 0;   ///< LRU entries dropped over capacity
-    std::size_t cacheSize = 0;     ///< resident memo entries
-    std::size_t cacheCapacity = 0; ///< current capacity knob
+    std::uint64_t cacheSize = 0;   ///< resident memo entries
+    std::uint64_t cacheCapacity = 0; ///< current capacity knob
 
     /** @name Template tier
      * Requests partition as requests == hits + templateHits + diskHits
@@ -238,8 +246,8 @@ struct ServiceStats
     std::uint64_t templateHits = 0;      ///< served by parameter rebind
     std::uint64_t templateMisses = 0;    ///< eligible but no template yet
     std::uint64_t templateEvictions = 0; ///< template LRU drops
-    std::size_t templateSize = 0;        ///< resident templates
-    std::size_t templateCapacity = 0;    ///< current tier capacity
+    std::uint64_t templateSize = 0;      ///< resident templates
+    std::uint64_t templateCapacity = 0;  ///< current tier capacity
     /** @} */
 
     /** @name Byte-size accounting (cacheBytesCapacity)
@@ -248,8 +256,8 @@ struct ServiceStats
      * unset AND the disk tier off, entries are charged 0 and bytesInUse
      * stays 0 -- the hot path never pays an encode it does not need. @{ */
     std::uint64_t sizeEvictions = 0; ///< LRU drops under byte pressure
-    std::size_t bytesInUse = 0;      ///< charged bytes currently resident
-    std::size_t bytesCapacity = 0;   ///< current byte-budget knob
+    std::uint64_t bytesInUse = 0;    ///< charged bytes currently resident
+    std::uint64_t bytesCapacity = 0; ///< current byte-budget knob
     /** @} */
 
     /** @name Disk tier (storePath)
@@ -258,7 +266,7 @@ struct ServiceStats
      * ArtifactStore (0 when the tier is off). @{ */
     std::uint64_t diskHits = 0;     ///< served by decode from the store
     std::uint64_t diskWrites = 0;   ///< artifacts appended to the store
-    std::size_t storeRecords = 0;   ///< live records in the log
+    std::uint64_t storeRecords = 0; ///< live records in the log
     std::uint64_t storeBytes = 0;   ///< log size on disk (incl. dead)
     /** @} */
 
@@ -277,8 +285,50 @@ struct ServiceStats
     /** @} */
     std::uint64_t contextsCreated = 0; ///< cold CompileContext builds
     std::uint64_t contextsReused = 0;  ///< warm contexts served from the pool
-    std::size_t pooledContexts = 0;    ///< idle contexts currently pooled
+    std::uint64_t pooledContexts = 0;  ///< idle contexts currently pooled
 };
+
+/** One ServiceStats field under its /metrics key: a count, or the
+ *  disk-tier state (rendered by diskTierStateName). */
+using ServiceStatsField =
+    std::pair<const char *, std::variant<std::uint64_t ServiceStats::*,
+                                         DiskTierState ServiceStats::*>>;
+
+/** Every ServiceStats field, in /metrics order. A new field is one
+ *  member above plus one entry here; the static_assert below fails
+ *  when the entry is missing. */
+inline constexpr ServiceStatsField kServiceStatsFields[] = {
+    {"requests", &ServiceStats::requests},
+    {"hits", &ServiceStats::hits},
+    {"misses", &ServiceStats::misses},
+    {"coalesced", &ServiceStats::coalesced},
+    {"evictions", &ServiceStats::evictions},
+    {"cacheSize", &ServiceStats::cacheSize},
+    {"cacheCapacity", &ServiceStats::cacheCapacity},
+    {"templateHits", &ServiceStats::templateHits},
+    {"templateMisses", &ServiceStats::templateMisses},
+    {"templateEvictions", &ServiceStats::templateEvictions},
+    {"templateSize", &ServiceStats::templateSize},
+    {"templateCapacity", &ServiceStats::templateCapacity},
+    {"diskHits", &ServiceStats::diskHits},
+    {"diskWrites", &ServiceStats::diskWrites},
+    {"sizeEvictions", &ServiceStats::sizeEvictions},
+    {"bytesInUse", &ServiceStats::bytesInUse},
+    {"bytesCapacity", &ServiceStats::bytesCapacity},
+    {"storeRecords", &ServiceStats::storeRecords},
+    {"storeBytes", &ServiceStats::storeBytes},
+    {"storeErrors", &ServiceStats::storeErrors},
+    {"degradedSkips", &ServiceStats::degradedSkips},
+    {"recoveries", &ServiceStats::recoveries},
+    {"tierState", &ServiceStats::tierState},
+    {"contextsCreated", &ServiceStats::contextsCreated},
+    {"contextsReused", &ServiceStats::contextsReused},
+    {"pooledContexts", &ServiceStats::pooledContexts},
+};
+// Every field occupies one 8-byte slot (tierState is padded to one).
+static_assert(sizeof(ServiceStats) ==
+                  std::size(kServiceStatsFields) * sizeof(std::uint64_t),
+              "every ServiceStats field needs a kServiceStatsFields entry");
 
 /** See the file comment. */
 class CompilerService
@@ -305,9 +355,6 @@ class CompilerService
      *  retained; the disk store, if any, is deliberately untouched --
      *  it is the tier that exists to survive exactly this). */
     void clearCache();
-
-    /** Change the memo capacity; shrinking evicts LRU entries now. */
-    void setCacheCapacity(std::size_t capacity);
 
     /** @name The device registry (see arch/device.hh)
      * Shared mutable state with its own lock: registering devices and
@@ -367,7 +414,12 @@ class CompilerService
     using TemplatePtr = std::shared_ptr<const CompiledTemplate>;
     using TemplateEntry = std::pair<RequestKey, TemplatePtr>;
 
+    /** Full compile of @p req against the resolved @p topology and
+     *  @p config (a by-name request's device content, else the
+     *  request's own). */
     CompileArtifact compileUncached(const CompileRequest &req,
+                                    const Topology &topology,
+                                    const CompilerConfig &config,
                                     std::uint64_t ctx_fp);
 
     /** @name Disk-tier circuit breaker (state under mu_)
@@ -382,7 +434,9 @@ class CompilerService
     void noteStoreErrorLocked();
     void noteStoreSuccessLocked();
     /** @} */
-    std::unique_ptr<PooledContext> acquireContext(const CompileRequest &req,
+    std::unique_ptr<PooledContext> acquireContext(const Topology &topology,
+                                                  const GateLibrary &library,
+                                                  const CompilerConfig &config,
                                                   std::uint64_t ctx_fp);
     void releaseContext(std::unique_ptr<PooledContext> pc);
     void evictOverCapacityLocked();
@@ -413,27 +467,13 @@ class CompilerService
      *  (stats), so the lock order is always mu_ -> store. */
     std::unique_ptr<ArtifactStore> store_;
 
-    std::uint64_t requests_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t coalesced_ = 0;
-    std::uint64_t evictions_ = 0;
-    std::uint64_t templateHits_ = 0;
-    std::uint64_t templateMisses_ = 0;
-    std::uint64_t templateEvictions_ = 0;
-    std::uint64_t diskHits_ = 0;
-    std::uint64_t diskWrites_ = 0;
-    std::uint64_t storeErrors_ = 0;
-    std::uint64_t degradedSkips_ = 0;
-    std::uint64_t recoveries_ = 0;
+    /** The counters (and the running bytesInUse); stats() adds the
+     *  gauges to a copy. */
+    ServiceStats stats_;
     std::uint64_t consecutiveStoreErrors_ = 0;
     bool tierDegraded_ = false;
     bool probeInFlight_ = false; ///< one half-open probe at a time
     std::chrono::steady_clock::time_point degradedSince_{};
-    std::uint64_t sizeEvictions_ = 0;
-    std::size_t bytesInUse_ = 0;
-    std::uint64_t contextsCreated_ = 0;
-    std::uint64_t contextsReused_ = 0;
 };
 
 } // namespace qompress

@@ -199,19 +199,5 @@ TEST(Algorithms, ShortestCyclePicksSmallest)
     EXPECT_EQ(shortestCycleThrough(g, 0).size(), 3u);
 }
 
-TEST(Algorithms, CycleLengthPerVertex)
-{
-    Graph g(4); // triangle + pendant
-    g.addEdge(0, 1);
-    g.addEdge(1, 2);
-    g.addEdge(2, 0);
-    g.addEdge(2, 3);
-    const auto lens = cycleLengthPerVertex(g);
-    EXPECT_EQ(lens[0], 3);
-    EXPECT_EQ(lens[1], 3);
-    EXPECT_EQ(lens[2], 3);
-    EXPECT_EQ(lens[3], 0);
-}
-
 } // namespace
 } // namespace qompress

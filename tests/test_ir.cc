@@ -38,8 +38,6 @@ TEST(Gate, StrRendering)
     EXPECT_EQ(g.str(), "cx q3, q7");
     Gate r{GateType::RZ, {1}, 0.5};
     EXPECT_EQ(r.str(), "rz(0.5) q1");
-    EXPECT_TRUE(g.actsOn(3));
-    EXPECT_FALSE(g.actsOn(4));
 }
 
 TEST(Circuit, BuildersAndValidation)
@@ -97,17 +95,6 @@ TEST(Circuit, AsapLayersAndDepth)
     const std::vector<int> want{1, 1, 2, 1, 3};
     EXPECT_EQ(layers, want);
     EXPECT_EQ(c.depth(), 3);
-}
-
-TEST(Circuit, AppendAndHighestUsed)
-{
-    Circuit a(2), b(4);
-    a.cx(0, 1);
-    b.append(a);
-    EXPECT_EQ(b.numGates(), 1);
-    EXPECT_EQ(b.highestUsedQubit(), 2);
-    Circuit small(1);
-    EXPECT_THROW(small.append(b), PanicError);
 }
 
 TEST(Circuit, QasmDump)

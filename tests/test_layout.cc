@@ -103,26 +103,6 @@ TEST(Layout, EpochAndVersionBasics)
     EXPECT_EQ(l.unitEpoch(1), e1);
 }
 
-TEST(Layout, RecordMutationHookBumpsVersionEpochAndNonce)
-{
-    Layout l(2, 2);
-    l.place(0, makeSlot(0, 0));
-    // Ordinary occupancy mutations never touch the perturbation nonce.
-    EXPECT_EQ(l.unitPerturbNonce(0), 0u);
-    const auto v = l.costVersion();
-    const auto e_other = l.unitEpoch(1);
-    l.recordMutation(makeSlot(0, 1));
-    EXPECT_EQ(l.costVersion(), v + 1);
-    EXPECT_EQ(l.unitEpoch(0), v + 1);
-    EXPECT_EQ(l.unitEpoch(1), e_other);
-    EXPECT_EQ(l.unitPerturbNonce(0), 1u);
-    EXPECT_EQ(l.unitPerturbNonce(1), 0u);
-    // Copies carry the perturbation along with the rest of the state.
-    const Layout c = l;
-    EXPECT_EQ(c.unitPerturbNonce(0), 1u);
-    EXPECT_THROW(l.recordMutation(99), PanicError);
-}
-
 TEST(Layout, CopiesGetFreshInstanceIds)
 {
     Layout a(2, 2);

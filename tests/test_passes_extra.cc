@@ -73,33 +73,6 @@ TEST(MergeRotations, PreservesOrderAcrossQubits)
     EXPECT_NEAR(total, 0.6, 1e-12);
 }
 
-TEST(DecomposeSwaps, ThreeCxPerSwap)
-{
-    Circuit c(2, "swap");
-    c.swap(0, 1);
-    const Circuit out = decomposeSwaps(c);
-    EXPECT_EQ(out.numGates(), 3);
-    for (const auto &g : out.gates())
-        EXPECT_EQ(g.type, GateType::CX);
-}
-
-TEST(DecomposeSwaps, SemanticallyEquivalent)
-{
-    Circuit c(3, "swap_equiv");
-    c.h(0);
-    c.t(1);
-    c.swap(0, 1);
-    c.cx(1, 2);
-    const Circuit lowered = decomposeSwaps(c);
-    // Compile the lowered circuit; verify against the ORIGINAL.
-    const GateLibrary lib;
-    const auto res = makeStrategy("qubit_only")
-                         ->compile(lowered, Topology::line(3), lib);
-    // The lowered circuit must implement the original's unitary.
-    const auto rep = checkEquivalence(c, res.compiled);
-    EXPECT_TRUE(rep.ok) << rep.message;
-}
-
 TEST(OptimizeCircuit, ReachesFixpoint)
 {
     Circuit c(2, "opt");

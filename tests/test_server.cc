@@ -8,7 +8,8 @@
  * is a structured 400 that leaves the connection serving, unknown
  * paths 404, wrong methods 405, expired deadlines 504, admission
  * overflow 503), keep-alive + pipelining at the HTTP layer, the
- * /metrics ServiceStats partition invariant, template-tier hits from
+ * /metrics ServiceStats partition invariant, every ServerStats and
+ * ServiceStats field rendered from its field list, template-tier hits from
  * parameterized sweep traffic, and graceful shutdown. Runs under the
  * TSan CI job (labels: threads;server).
  */
@@ -27,6 +28,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "circuits/registry.hh"
@@ -464,6 +466,50 @@ TEST(Server, MetricsExposeServiceStatsAndPartitionHolds)
     EXPECT_GE(scrape(body, "server", "requests"), 2.0);
     EXPECT_GT(scrape(body, "latency", "p99_us"), 0.0);
     EXPECT_GE(scrape(body, "latency", "count"), 2.0);
+}
+
+/** Text of the named top-level /metrics section's {...} block. */
+std::string
+section(const std::string &doc, const std::string &name)
+{
+    const auto s = doc.find("\"" + name + "\": {");
+    if (s == std::string::npos)
+        return "";
+    return doc.substr(s, doc.find('}', s) - s + 1);
+}
+
+TEST(Server, MetricsRenderEveryStatsFieldFromItsList)
+{
+    ServerFixture fx;
+    TestClient c = fx.client();
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(c.request(postCompile(kValidQasm), status, body));
+    ASSERT_TRUE(c.request(postCompile(kValidQasm), status, body));
+    ASSERT_TRUE(c.request(get("/metrics"), status, body));
+    ASSERT_EQ(status, 200);
+    const std::string server = section(body, "server");
+    for (const auto &[name, member] : kServerStatsFields) {
+        EXPECT_NE(server.find("\"" + std::string(name) + "\": "),
+                  std::string::npos)
+            << name;
+    }
+    // Both compiles have answered, so the service is quiescent: every
+    // rendered value must equal the live snapshot.
+    const ServiceStats st = fx.server->service().stats();
+    const std::string service = section(body, "service");
+    for (const auto &[name, member] : kServiceStatsFields) {
+        const std::string key = "\"" + std::string(name) + "\": ";
+        const std::string want =
+            std::holds_alternative<std::uint64_t ServiceStats::*>(member)
+                ? std::to_string(
+                      st.*std::get<std::uint64_t ServiceStats::*>(member))
+                : "\"" + std::string(diskTierStateName(st.tierState)) +
+                      "\"";
+        EXPECT_TRUE(service.find(key + want + ",") != std::string::npos ||
+                    service.find(key + want + "}") != std::string::npos)
+            << name << " = " << want << " in " << service;
+    }
 }
 
 TEST(Server, ParameterizedSweepTrafficHitsTemplateTier)

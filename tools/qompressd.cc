@@ -43,15 +43,24 @@
  *   --debug-endpoints   enable POST /debug/sleep and
  *                       POST /devices/<name>/calibration
  *
+ * Numeric values are strict: digits only (a finite number >= 0 for the
+ * -ms flags taking X), range-checked; a malformed value exits 2 with
+ * an error naming the flag.
+ *
  * SIGINT/SIGTERM trigger a graceful shutdown: flip /healthz to
  * draining, wait the drain grace, stop accepting, answer queued
  * connections with 503, finish in-flight compiles, exit 0.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -105,73 +114,98 @@ usage()
         "       [--debug-endpoints]\n");
 }
 
+/** Value of the integer flag @p flag: decimal digits only, within
+ *  [lo, hi]; anything else is a FatalError naming the flag. */
+std::uint64_t
+integerFlag(const std::string &flag, const std::string &value,
+            std::uint64_t lo, std::uint64_t hi)
+{
+    errno = 0;
+    const bool digits = !value.empty() &&
+                        value.find_first_not_of("0123456789") ==
+                            std::string::npos;
+    const unsigned long long n =
+        digits ? std::strtoull(value.c_str(), nullptr, 10) : 0;
+    const std::string range =
+        hi == std::numeric_limits<std::uint64_t>::max()
+            ? ">= " + std::to_string(lo)
+            : "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    QFATAL_IF(!digits || errno == ERANGE || n < lo || n > hi, flag,
+              " expects an integer ", range, ", got '", value, "'");
+    return n;
+}
+
+/** Value of the millisecond flag @p flag: a finite number >= 0. */
+double
+msFlag(const std::string &flag, const std::string &value)
+{
+    char *end = nullptr;
+    double x = -1.0;
+    if (!value.empty() && !std::isspace(static_cast<unsigned char>(value[0])))
+        x = std::strtod(value.c_str(), &end);
+    QFATAL_IF(end == nullptr || *end != '\0' || !std::isfinite(x) ||
+                  x < 0.0,
+              flag, " expects a finite number >= 0, got '", value, "'");
+    return x;
+}
+
 ServerOptions
 parse(int argc, char **argv)
 {
+    constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
+    constexpr std::uint64_t kInt = std::numeric_limits<int>::max();
     ServerOptions opts;
     opts.port = 8080;
     const unsigned hw = std::thread::hardware_concurrency();
     opts.workers = hw > 2 ? static_cast<int>(hw) : 2;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto value = [&](const char *prefix) {
-            return a.substr(std::string(prefix).size());
+        const auto eq = a.find('=');
+        const std::string flag = a.substr(0, eq);
+        const std::string value =
+            eq == std::string::npos ? "" : a.substr(eq + 1);
+        auto integer = [&](std::uint64_t lo, std::uint64_t hi) {
+            return integerFlag(flag, value, lo, hi);
         };
-        if (a.rfind("--port=", 0) == 0) {
-            opts.port = std::atoi(value("--port=").c_str());
-        } else if (a.rfind("--bind=", 0) == 0) {
-            opts.bindAddress = value("--bind=");
-        } else if (a.rfind("--workers=", 0) == 0) {
-            opts.workers = std::atoi(value("--workers=").c_str());
-        } else if (a.rfind("--queue=", 0) == 0) {
-            opts.maxQueue = static_cast<std::size_t>(
-                std::atol(value("--queue=").c_str()));
-        } else if (a.rfind("--deadline-ms=", 0) == 0) {
-            opts.defaultDeadlineMs =
-                std::atof(value("--deadline-ms=").c_str());
-        } else if (a.rfind("--idle-timeout-ms=", 0) == 0) {
-            opts.idleTimeoutMs =
-                std::atoi(value("--idle-timeout-ms=").c_str());
-        } else if (a.rfind("--cache=", 0) == 0) {
-            opts.service.cacheCapacity = static_cast<std::size_t>(
-                std::atol(value("--cache=").c_str()));
-        } else if (a.rfind("--cache-bytes=", 0) == 0) {
-            opts.service.cacheBytesCapacity = static_cast<std::size_t>(
-                std::atoll(value("--cache-bytes=").c_str()));
-        } else if (a.rfind("--store=", 0) == 0) {
-            opts.service.storePath = value("--store=");
-        } else if (a.rfind("--fsync=", 0) == 0) {
-            opts.service.storeFsync =
-                fsyncPolicyFromString(value("--fsync="));
-        } else if (a.rfind("--fsync-interval-bytes=", 0) == 0) {
-            opts.service.storeFsyncIntervalBytes =
-                static_cast<std::uint64_t>(std::atoll(
-                    value("--fsync-interval-bytes=").c_str()));
-        } else if (a.rfind("--store-error-threshold=", 0) == 0) {
-            opts.service.storeErrorThreshold =
-                static_cast<std::uint64_t>(std::atoll(
-                    value("--store-error-threshold=").c_str()));
-        } else if (a.rfind("--store-cooldown-ms=", 0) == 0) {
-            opts.service.storeCooldownMs =
-                std::atof(value("--store-cooldown-ms=").c_str());
-        } else if (a.rfind("--drain-grace-ms=", 0) == 0) {
-            g_drainGraceMs =
-                std::atoi(value("--drain-grace-ms=").c_str());
-        } else if (a.rfind("--template-cache=", 0) == 0) {
-            opts.service.templateCacheCapacity =
-                static_cast<std::size_t>(
-                    std::atol(value("--template-cache=").c_str()));
-        } else if (a.rfind("--contexts=", 0) == 0) {
-            opts.service.contextPoolCapacity = static_cast<std::size_t>(
-                std::atol(value("--contexts=").c_str()));
-        } else if (a.rfind("--max-units=", 0) == 0) {
-            opts.maxUnits = std::atoi(value("--max-units=").c_str());
-        } else if (a.rfind("--device=", 0) == 0) {
-            g_devices.push_back(
-                namePathPair(value("--device="), "--device"));
-        } else if (a.rfind("--calibration=", 0) == 0) {
+        if (flag == "--port") {
+            opts.port = static_cast<int>(integer(0, 65535));
+        } else if (flag == "--bind") {
+            opts.bindAddress = value;
+        } else if (flag == "--workers") {
+            opts.workers = static_cast<int>(integer(1, kInt));
+        } else if (flag == "--queue") {
+            opts.maxQueue = integer(0, kAny);
+        } else if (flag == "--deadline-ms") {
+            opts.defaultDeadlineMs = msFlag(flag, value);
+        } else if (flag == "--idle-timeout-ms") {
+            opts.idleTimeoutMs = static_cast<int>(integer(0, kInt));
+        } else if (flag == "--cache") {
+            opts.service.cacheCapacity = integer(0, kAny);
+        } else if (flag == "--cache-bytes") {
+            opts.service.cacheBytesCapacity = integer(0, kAny);
+        } else if (flag == "--store") {
+            opts.service.storePath = value;
+        } else if (flag == "--fsync") {
+            opts.service.storeFsync = fsyncPolicyFromString(value);
+        } else if (flag == "--fsync-interval-bytes") {
+            opts.service.storeFsyncIntervalBytes = integer(0, kAny);
+        } else if (flag == "--store-error-threshold") {
+            opts.service.storeErrorThreshold = integer(0, kAny);
+        } else if (flag == "--store-cooldown-ms") {
+            opts.service.storeCooldownMs = msFlag(flag, value);
+        } else if (flag == "--drain-grace-ms") {
+            g_drainGraceMs = static_cast<int>(integer(0, kInt));
+        } else if (flag == "--template-cache") {
+            opts.service.templateCacheCapacity = integer(0, kAny);
+        } else if (flag == "--contexts") {
+            opts.service.contextPoolCapacity = integer(0, kAny);
+        } else if (flag == "--max-units") {
+            opts.maxUnits = static_cast<int>(integer(1, kInt));
+        } else if (flag == "--device") {
+            g_devices.push_back(namePathPair(value, "--device"));
+        } else if (flag == "--calibration") {
             g_calibrations.push_back(
-                namePathPair(value("--calibration="), "--calibration"));
+                namePathPair(value, "--calibration"));
         } else if (a == "--debug-endpoints") {
             opts.debugEndpoints = true;
         } else if (a == "--help" || a == "-h") {
