@@ -356,19 +356,6 @@ DeviceRegistry::DeviceRegistry()
     add("grid64", Topology::gridExplicit(8, 8));
 }
 
-std::vector<std::string>
-DeviceRegistry::names() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    std::vector<std::string> out;
-    out.reserve(devices_.size());
-    for (const auto &[name, dev] : devices_) {
-        (void)dev;
-        out.push_back(name);
-    }
-    return out;
-}
-
 std::vector<DeviceInfo>
 DeviceRegistry::info() const
 {
@@ -381,13 +368,6 @@ DeviceRegistry::info() const
                        dev.calibration != nullptr, dev.calVersion});
     }
     return out;
-}
-
-bool
-DeviceRegistry::has(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return devices_.count(name) != 0;
 }
 
 Device

@@ -164,13 +164,8 @@ class DeviceRegistry
     /** Registers the default zoo. */
     DeviceRegistry();
 
-    /** Sorted device names. */
-    std::vector<std::string> names() const;
-
     /** Listing rows, sorted by name. */
     std::vector<DeviceInfo> info() const;
-
-    bool has(const std::string &name) const;
 
     /** A snapshot of the device (topology and calibration are copies /
      *  shared immutables -- safe to use without the registry lock).

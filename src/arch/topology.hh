@@ -71,10 +71,9 @@ class Topology
      * one unit shorter) of length @p row_len joined by bridge units.
      * Valid parameters are rows odd >= 3 and row_len >= 7 with
      * row_len % 4 == 3 (the hexagonal tiling constraint); anything
-     * else is a FatalError. heavyHex(5, 11) reproduces heavyHex65()
-     * exactly (same units, numbering, and edges); heavyHex(7, 15) is
-     * the 127-unit IBM Eagle shape; heavyHex(3, 7) a 23-unit Falcon-
-     * class lattice.
+     * else is a FatalError. heavyHex(5, 11) is heavyHex65() (IBM
+     * numbering and edge order); heavyHex(7, 15) is the 127-unit IBM
+     * Eagle shape; heavyHex(3, 7) a 23-unit Falcon-class lattice.
      */
     static Topology heavyHex(int rows, int row_len);
 
@@ -82,23 +81,11 @@ class Topology
      *  generation): 27 units, 28 edges. */
     static Topology falcon27();
 
-    /**
-     * Generator lookup by name: fixed shapes ("falcon27",
-     * "heavyhex23", "heavyhex65", "heavyhex127") and parametric forms
-     * ("ring:N", "line:N", "grid:RxC", "complete:N", "heavyhex:RxL").
-     * @throws FatalError for an unknown name, listing the valid ones
-     * (mirrors makeStrategy).
-     */
-    static Topology named(const std::string &name);
-
     /** Cycle of @p n units. */
     static Topology ring(int n);
 
     /** Path of @p n units. */
     static Topology line(int n);
-
-    /** Fully connected device (useful in tests). */
-    static Topology complete(int n);
 
     /** Custom device from an explicit coupling list (unit count is
      *  max index + 1 unless @p min_units is larger). */

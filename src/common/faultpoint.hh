@@ -33,7 +33,7 @@
  *
  * Registry of points currently wired (all in service/artifact_store):
  *   store.open store.fstat store.pread store.pwrite store.fsync
- *   store.ftruncate store.rename store.unlink store.close
+ *   store.ftruncate store.close
  * docs/ARCHITECTURE.md ("Failure domains & degradation") keeps the
  * authoritative table.
  */

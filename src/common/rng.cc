@@ -105,16 +105,4 @@ Rng::nextBool(double p)
     return nextDouble() < p;
 }
 
-std::vector<int>
-Rng::sample(int n, int k)
-{
-    QPANIC_IF(k > n || k < 0, "sample: invalid k=", k, " n=", n);
-    std::vector<int> pool(n);
-    for (int i = 0; i < n; ++i)
-        pool[i] = i;
-    shuffle(pool);
-    pool.resize(k);
-    return pool;
-}
-
 } // namespace qompress

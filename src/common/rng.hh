@@ -63,9 +63,6 @@ class Rng
         }
     }
 
-    /** A random k-subset of {0, ..., n-1} (order unspecified). */
-    std::vector<int> sample(int n, int k);
-
   private:
     std::uint64_t s_[4];
     bool haveGauss_ = false;

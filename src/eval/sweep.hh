@@ -1,9 +1,10 @@
 /**
  * @file
  * Reusable evaluation harness: compile (family x size x strategy)
- * grids and return structured records. Shared by the figure benches
- * and by test_paper_claims.cc, which turns the paper's qualitative
- * claims into executable assertions.
+ * grids and return structured records. test_paper_claims.cc runs it to
+ * turn the paper's qualitative claims into executable assertions, and
+ * bench_hotpaths times its cell fan-out; the figure benches each run
+ * their own loop.
  */
 
 #ifndef QOMPRESS_EVAL_SWEEP_HH

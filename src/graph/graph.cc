@@ -12,13 +12,6 @@ Graph::Graph(int n)
     adj_.resize(n);
 }
 
-int
-Graph::addVertex()
-{
-    adj_.emplace_back();
-    return numVertices() - 1;
-}
-
 void
 Graph::checkVertex(int u) const
 {

@@ -37,9 +37,6 @@ class Graph
     /** Number of undirected edges. */
     int numEdges() const { return numEdges_; }
 
-    /** Append a vertex and return its id. */
-    int addVertex();
-
     /**
      * Insert undirected edge (u, v) with @p weight.
      * @return false if the edge already existed (weight left unchanged).

@@ -1,11 +1,9 @@
 #include "pulse/evolution.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 #include "common/error.hh"
-#include "common/strings.hh"
 
 namespace qompress {
 
@@ -64,66 +62,6 @@ traceEvolution(const TransmonSystem &system, const GrapeOptimizer &grape,
             record(j + 1);
     }
     return trace;
-}
-
-void
-saveControls(const std::string &path,
-             const std::vector<std::vector<double>> &controls,
-             double dt_ns)
-{
-    QFATAL_IF(controls.empty(), "saveControls: no controls");
-    std::ofstream out(path);
-    QFATAL_IF(!out, "cannot write pulse file '", path, "'");
-    out << "# time_ns";
-    for (std::size_t k = 0; k < controls.size(); ++k)
-        out << ",c" << k;
-    out << '\n';
-    const std::size_t segments = controls[0].size();
-    for (const auto &row : controls) {
-        QFATAL_IF(row.size() != segments,
-                  "saveControls: ragged control rows");
-    }
-    for (std::size_t j = 0; j < segments; ++j) {
-        out << format("%.9g", j * dt_ns);
-        for (const auto &row : controls)
-            out << ',' << format("%.12g", row[j]);
-        out << '\n';
-    }
-}
-
-std::vector<std::vector<double>>
-loadControls(const std::string &path, double &dt_ns)
-{
-    std::ifstream in(path);
-    QFATAL_IF(!in, "cannot open pulse file '", path, "'");
-    std::vector<std::vector<double>> controls;
-    std::vector<double> times;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        const auto cells = split(line, ',');
-        QFATAL_IF(cells.size() < 2, "pulse file '", path,
-                  "': need time plus at least one control column");
-        if (controls.empty())
-            controls.resize(cells.size() - 1);
-        QFATAL_IF(cells.size() - 1 != controls.size(), "pulse file '",
-                  path, "': inconsistent column count");
-        try {
-            times.push_back(std::stod(cells[0]));
-            for (std::size_t k = 1; k < cells.size(); ++k)
-                controls[k - 1].push_back(std::stod(cells[k]));
-        } catch (const std::exception &) {
-            QFATAL("pulse file '", path, "': bad number in line '",
-                   line, "'");
-        }
-    }
-    QFATAL_IF(times.size() < 2, "pulse file '", path,
-              "': need at least two segments");
-    dt_ns = times[1] - times[0];
-    QFATAL_IF(dt_ns <= 0.0, "pulse file '", path,
-              "': non-increasing time column");
-    return controls;
 }
 
 } // namespace qompress

@@ -1,13 +1,12 @@
 /**
  * @file
  * State-evolution utilities on top of the GRAPE propagators: sampled
- * population traces (paper Figure 3) and pulse import/export.
+ * population traces (paper Figure 3).
  */
 
 #ifndef QOMPRESS_PULSE_EVOLUTION_HH
 #define QOMPRESS_PULSE_EVOLUTION_HH
 
-#include <string>
 #include <vector>
 
 #include "pulse/grape.hh"
@@ -37,18 +36,6 @@ traceEvolution(const TransmonSystem &system, const GrapeOptimizer &grape,
                const std::vector<std::vector<double>> &controls,
                int start_logical, const std::vector<int> &watch_logical,
                int samples = 14);
-
-/**
- * Write controls as CSV: one row per segment, first column the
- * segment start time (ns), then one column per control (rad/ns).
- */
-void saveControls(const std::string &path,
-                  const std::vector<std::vector<double>> &controls,
-                  double dt_ns);
-
-/** Read controls written by saveControls. @returns dt via @p dt_ns. */
-std::vector<std::vector<double>>
-loadControls(const std::string &path, double &dt_ns);
 
 } // namespace qompress
 

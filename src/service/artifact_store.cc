@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "common/error.hh"
@@ -123,28 +122,6 @@ xftruncate(int fd, std::uint64_t len)
 }
 
 int
-xrename(const char *from, const char *to)
-{
-    const FaultFire f = QFAULT_POINT("store.rename");
-    if (f.fired) {
-        errno = f.err;
-        return -1;
-    }
-    return ::rename(from, to);
-}
-
-int
-xunlink(const char *path)
-{
-    const FaultFire f = QFAULT_POINT("store.unlink");
-    if (f.fired) {
-        errno = f.err;
-        return -1;
-    }
-    return ::unlink(path);
-}
-
-int
 xclose(int fd)
 {
     const FaultFire f = QFAULT_POINT("store.close");
@@ -204,16 +181,6 @@ frameFor(const ArtifactKey &key, const std::vector<std::uint8_t> &blob)
     return frame.take();
 }
 
-/** Directory holding @p path ("." for a bare filename). */
-std::string
-dirOf(const std::string &path)
-{
-    const auto slash = path.find_last_of('/');
-    if (slash == std::string::npos)
-        return ".";
-    return slash == 0 ? "/" : path.substr(0, slash);
-}
-
 } // namespace
 
 FsyncPolicy
@@ -227,20 +194,6 @@ fsyncPolicyFromString(const std::string &name)
         return FsyncPolicy::Always;
     QFATAL("unknown fsync policy '", name,
            "' (expected never|interval|always)");
-}
-
-const char *
-fsyncPolicyName(FsyncPolicy policy)
-{
-    switch (policy) {
-    case FsyncPolicy::Never:
-        return "never";
-    case FsyncPolicy::Interval:
-        return "interval";
-    case FsyncPolicy::Always:
-        return "always";
-    }
-    return "?";
 }
 
 ArtifactStore::ArtifactStore(std::string path, StoreOptions opts)
@@ -259,11 +212,6 @@ ArtifactStore::~ArtifactStore()
 void
 ArtifactStore::openAndRecoverLocked()
 {
-    // A crashed prior compaction may have left its temp file behind;
-    // it is garbage by definition (rename never happened), so clear it
-    // before it can shadow a future compact(). ENOENT is the norm.
-    (void)xunlink((path_ + ".compact.tmp").c_str());
-
     fd_ = xopen(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
     QFATAL_IF(fd_ < 0, "cannot open artifact store '", path_,
               "': ", std::strerror(errno));
@@ -326,10 +274,7 @@ ArtifactStore::openAndRecoverLocked()
             slot.offset = off + kFrameHeaderBytes +
                           (body.size() - br.remaining());
             slot.size = br.remaining();
-            if (!index_.emplace(key, slot).second) {
-                index_[key] = slot; // later frame wins
-                ++dead_;
-            }
+            index_[key] = slot; // a later frame wins
         } catch (const FatalError &) {
             break; // CRC passed but the body is still malformed
         }
@@ -355,7 +300,6 @@ ArtifactStore::syncAppendLocked(std::uint64_t appended)
     if (opts_.fsync == FsyncPolicy::Interval &&
         unsynced_ < opts_.fsyncIntervalBytes)
         return true;
-    ++fsyncs_;
     if (xfsync(fd_) != 0)
         return false;
     unsynced_ = 0;
@@ -373,7 +317,6 @@ ArtifactStore::put(const ArtifactKey &key,
     if (!pwriteExact(fd_, frame.data(), frame.size(), end_)) {
         // A partial append leaves a torn tail; recovery handles it,
         // but trim now so this process's next put starts clean.
-        ++ioErrors_;
         (void)xftruncate(fd_, end_);
         return false;
     }
@@ -381,27 +324,15 @@ ArtifactStore::put(const ArtifactKey &key,
         // The bytes are written but not durable; report failure (the
         // caller acknowledged nothing) and drop the frame so a false
         // put never leaves a record this process would serve.
-        ++ioErrors_;
         (void)xftruncate(fd_, end_);
         return false;
     }
     Slot slot;
     slot.size = blob.size();
     slot.offset = end_ + frame.size() - blob.size();
-    if (!index_.emplace(key, slot).second) {
-        index_[key] = slot;
-        ++dead_;
-    }
+    index_[key] = slot;
     end_ += frame.size();
     return true;
-}
-
-bool
-ArtifactStore::readBlobLocked(const Slot &slot,
-                              std::vector<std::uint8_t> &out)
-{
-    out.resize(slot.size);
-    return preadExact(fd_, out.data(), out.size(), slot.offset);
 }
 
 StoreStatus
@@ -414,11 +345,10 @@ ArtifactStore::loadStatus(const ArtifactKey &key,
     const auto it = index_.find(key);
     if (it == index_.end())
         return StoreStatus::Miss;
-    if (!readBlobLocked(it->second, out)) {
-        ++ioErrors_;
-        return StoreStatus::Error;
-    }
-    return StoreStatus::Ok;
+    out.resize(it->second.size);
+    return preadExact(fd_, out.data(), out.size(), it->second.offset)
+               ? StoreStatus::Ok
+               : StoreStatus::Error;
 }
 
 bool
@@ -435,16 +365,10 @@ ArtifactStore::probe()
     if (fd_ < 0)
         return false;
     std::uint8_t hdr[kStoreHeaderBytes];
-    if (!preadExact(fd_, hdr, sizeof hdr, 0)) {
-        ++ioErrors_;
+    if (!preadExact(fd_, hdr, sizeof hdr, 0))
         return false;
-    }
     ByteReader r(hdr, sizeof hdr, "artifact store header");
-    if (r.u32() != kStoreMagic || r.u32() != kArtifactFormatVersion) {
-        ++ioErrors_;
-        return false;
-    }
-    return true;
+    return r.u32() == kStoreMagic && r.u32() == kArtifactFormatVersion;
 }
 
 std::size_t
@@ -465,113 +389,11 @@ ArtifactStore::keys()
     return out;
 }
 
-std::size_t
-ArtifactStore::deadRecords()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return dead_;
-}
-
 std::uint64_t
 ArtifactStore::bytesOnDisk()
 {
     std::lock_guard<std::mutex> lk(mu_);
     return end_;
-}
-
-std::uint64_t
-ArtifactStore::ioErrors()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return ioErrors_;
-}
-
-std::uint64_t
-ArtifactStore::fsyncs()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return fsyncs_;
-}
-
-void
-ArtifactStore::compact()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    if (fd_ < 0 || dead_ == 0)
-        return;
-
-    const std::string tmp_path = path_ + ".compact.tmp";
-    const int tmp = xopen(tmp_path.c_str(),
-                          O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    QFATAL_IF(tmp < 0, "cannot create '", tmp_path,
-              "' for compaction: ", std::strerror(errno));
-
-    ByteWriter hdr;
-    hdr.u32(kStoreMagic);
-    hdr.u32(kArtifactFormatVersion);
-    std::uint64_t out_off = 0;
-    bool ok = pwriteExact(tmp, hdr.data().data(), hdr.size(), out_off);
-    out_off += hdr.size();
-
-    std::unordered_map<ArtifactKey, Slot, ArtifactKeyHash> new_index;
-    std::vector<std::uint8_t> blob;
-    for (const auto &entry : index_) {
-        if (!ok)
-            break;
-        ok = readBlobLocked(entry.second, blob);
-        if (!ok)
-            break;
-        const std::vector<std::uint8_t> frame = frameFor(entry.first, blob);
-        ok = pwriteExact(tmp, frame.data(), frame.size(), out_off);
-        Slot slot;
-        slot.size = blob.size();
-        slot.offset = out_off + frame.size() - blob.size();
-        new_index.emplace(entry.first, slot);
-        out_off += frame.size();
-    }
-
-    // The rewritten log must be on disk BEFORE the rename: otherwise
-    // a crash between rename and writeback could leave the store's
-    // only name pointing at an empty (or partial) file.
-    if (ok) {
-        ++fsyncs_;
-        ok = xfsync(tmp) == 0;
-    }
-
-    if (!ok) {
-        ++ioErrors_;
-        (void)xclose(tmp);
-        (void)xunlink(tmp_path.c_str());
-        QFATAL("compaction of artifact store '", path_,
-               "' failed: ", std::strerror(errno));
-    }
-    if (xrename(tmp_path.c_str(), path_.c_str()) != 0) {
-        ++ioErrors_;
-        const std::string why = std::strerror(errno);
-        (void)xclose(tmp);
-        (void)xunlink(tmp_path.c_str());
-        QFATAL("cannot rename '", tmp_path, "' over '", path_,
-               "': ", why);
-    }
-    // Make the swap itself durable: the rename lives in the directory,
-    // so sync that too. Best-effort -- both the old and the new log
-    // are valid stores, so a lost rename only costs the compaction.
-    const int dirfd = xopen(dirOf(path_).c_str(),
-                            O_RDONLY | O_DIRECTORY | O_CLOEXEC, 0);
-    if (dirfd >= 0) {
-        ++fsyncs_;
-        if (xfsync(dirfd) != 0)
-            ++ioErrors_;
-        (void)xclose(dirfd);
-    } else {
-        ++ioErrors_;
-    }
-    (void)xclose(fd_);
-    fd_ = tmp;
-    end_ = out_off;
-    unsynced_ = 0;
-    dead_ = 0;
-    index_ = std::move(new_index);
 }
 
 } // namespace qompress

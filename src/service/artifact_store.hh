@@ -22,29 +22,26 @@
  * file: artifacts are caches of deterministic compiles, so starting
  * cold is always safe, and guessing at a foreign layout never is.
  *
- * Re-putting a key appends a new frame and repoints the index (last
- * frame wins on recovery too); the superseded frame stays on disk as a
- * dead record until compact() rewrites the log with only live frames.
+ * Re-putting a key appends a new frame and repoints the index; the
+ * last frame wins on recovery too. The superseded frame stays on disk:
+ * the service never re-puts a key (its write-behind is gated on
+ * contains()), so there is nothing to reclaim.
  *
  * Failure seams: every syscall the store makes (open, fstat, pread,
- * pwrite, fsync, ftruncate, rename, unlink, close) goes through a
- * named fault point (common/faultpoint.hh, "store.<syscall>"), so the
- * fault-matrix tests can fail any call at any index and prove the
- * outcome is always a false return or a FatalError -- never a
- * PanicError, a crash, or a corrupted log. EINTR from pread/pwrite/
- * open/fsync is retried transparently; it is an interruption, not a
- * failure. put() and load() report failures by return value and also
- * bump ioErrors() -- the signal the service's disk-tier circuit
- * breaker trips on.
+ * pwrite, fsync, ftruncate, close) goes through a named fault point
+ * (common/faultpoint.hh, "store.<syscall>"), so the fault-matrix tests
+ * can fail any call at any index and prove the outcome is always a
+ * false return or a FatalError -- never a PanicError, a crash, or a
+ * corrupted log. EINTR from pread/pwrite/open/fsync is retried
+ * transparently; it is an interruption, not a failure. put() and
+ * loadStatus() report failures by return value -- the signal the
+ * service's disk-tier circuit breaker trips on.
  *
  * Durability: by default (FsyncPolicy::Never) appends are not synced
  * -- the log is a cache and the torn-tail recovery above bounds the
  * loss to un-synced frames. FsyncPolicy::Always fsyncs after every
  * append; Interval fsyncs once at least fsyncIntervalBytes have been
- * appended since the last sync. compact() always fsyncs the rewritten
- * temp file before rename and the directory after it, so the swap
- * itself cannot be lost to a crash, and open() removes a stale temp
- * file a crashed prior compaction may have left behind.
+ * appended since the last sync.
  *
  * All methods are thread-safe behind one mutex; reads use pread so
  * concurrent loads never race on a shared file position.
@@ -73,9 +70,6 @@ enum class FsyncPolicy
 
 /** Parse "never" | "interval" | "always"; throws FatalError else. */
 FsyncPolicy fsyncPolicyFromString(const std::string &name);
-
-/** The inverse (for logs and /metrics). */
-const char *fsyncPolicyName(FsyncPolicy policy);
 
 /** Store construction knobs. */
 struct StoreOptions
@@ -146,28 +140,9 @@ class ArtifactStore
      *  and decode the whole store without private index access. */
     std::vector<ArtifactKey> keys();
 
-    /** Superseded frames still occupying disk until compact(). */
-    std::size_t deadRecords();
-
-    /** Current log size in bytes (header + all frames, dead included). */
+    /** Current log size in bytes (header + all frames, superseded
+     *  ones included). */
     std::uint64_t bytesOnDisk();
-
-    /** Syscall-level failures observed by put/load/probe (the breaker
-     *  input; monotonic). */
-    std::uint64_t ioErrors();
-
-    /** fsync calls issued so far (policy + compact barriers). */
-    std::uint64_t fsyncs();
-
-    /**
-     * Rewrite the log with only live frames (temp file + fsync +
-     * rename + directory fsync, so a crash mid-compact leaves either
-     * the old or the new log, never a mix, and the swap is durable).
-     * Throws FatalError if the rewrite fails.
-     */
-    void compact();
-
-    const std::string &path() const { return path_; }
 
   private:
     struct Slot
@@ -177,7 +152,6 @@ class ArtifactStore
     };
 
     void openAndRecoverLocked();
-    bool readBlobLocked(const Slot &slot, std::vector<std::uint8_t> &out);
     bool syncAppendLocked(std::uint64_t appended);
 
     std::string path_;
@@ -186,9 +160,6 @@ class ArtifactStore
     int fd_ = -1;
     std::uint64_t end_ = 0; ///< append offset == intact byte count
     std::uint64_t unsynced_ = 0; ///< appended since the last fsync
-    std::size_t dead_ = 0;
-    std::uint64_t ioErrors_ = 0;
-    std::uint64_t fsyncs_ = 0;
     std::unordered_map<ArtifactKey, Slot, ArtifactKeyHash> index_;
 };
 

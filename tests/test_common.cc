@@ -85,19 +85,6 @@ TEST(Rng, ShuffleIsPermutation)
     EXPECT_EQ(s.size(), 8u);
 }
 
-TEST(Rng, SampleIsSubset)
-{
-    Rng rng(15);
-    const auto s = rng.sample(10, 4);
-    EXPECT_EQ(s.size(), 4u);
-    std::set<int> distinct(s.begin(), s.end());
-    EXPECT_EQ(distinct.size(), 4u);
-    for (int v : s) {
-        EXPECT_GE(v, 0);
-        EXPECT_LT(v, 10);
-    }
-}
-
 TEST(Strings, Format)
 {
     EXPECT_EQ(format("q%d:%s", 3, "x"), "q3:x");

@@ -1,13 +1,10 @@
 /**
  * @file
- * Tests for the pulse evolution utilities: population traces and
- * pulse CSV import/export.
+ * Tests for the pulse evolution utilities: population traces.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <numeric>
 
 #include "common/error.hh"
@@ -73,42 +70,6 @@ TEST(Evolution, RejectsBadStates)
         2, std::vector<double>(4, 0.0));
     EXPECT_THROW(traceEvolution(sys, grape, idle, 7, {0}), FatalError);
     EXPECT_THROW(traceEvolution(sys, grape, idle, 0, {9}), FatalError);
-}
-
-TEST(PulseIo, SaveLoadRoundTrip)
-{
-    const std::string path = "/tmp/qompress_pulse_test.csv";
-    const std::vector<std::vector<double>> controls = {
-        {0.1, -0.2, 0.3}, {0.05, 0.0, -0.15}};
-    saveControls(path, controls, 2.5);
-    double dt = 0.0;
-    const auto loaded = loadControls(path, dt);
-    EXPECT_NEAR(dt, 2.5, 1e-12);
-    ASSERT_EQ(loaded.size(), controls.size());
-    for (std::size_t k = 0; k < controls.size(); ++k) {
-        ASSERT_EQ(loaded[k].size(), controls[k].size());
-        for (std::size_t j = 0; j < controls[k].size(); ++j)
-            EXPECT_NEAR(loaded[k][j], controls[k][j], 1e-12);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(PulseIo, LoadErrors)
-{
-    EXPECT_THROW(
-        [] {
-            double dt;
-            loadControls("/nonexistent.pulse", dt);
-        }(),
-        FatalError);
-    const std::string path = "/tmp/qompress_pulse_bad.csv";
-    {
-        std::ofstream out(path);
-        out << "# header\n1.0,nope\n2.0,0.5\n";
-    }
-    double dt = 0.0;
-    EXPECT_THROW(loadControls(path, dt), FatalError);
-    std::remove(path.c_str());
 }
 
 } // namespace

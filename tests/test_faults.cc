@@ -10,14 +10,13 @@
  *    misuse (ShortIo of zero bytes, double install) fails loudly.
  *  - Store faults: EINTR is retried transparently, short reads/writes
  *    are completed by the exact-IO loops, torn appends are trimmed,
- *    ENOSPC/EIO fail the one operation cleanly, fsync policies sync
- *    when promised (and a failed required fsync fails the put), and
- *    compact() survives rename/fsync failure with the original log
- *    intact.
+ *    ENOSPC/EIO fail the one operation cleanly, and fsync policies
+ *    sync when promised (and a failed required fsync fails the put).
  *  - The fault matrix: every fault point x every call index x
- *    open/put/load/compact/restart must end in a false return or a
+ *    open/put/reput/load/restart must end in a false return or a
  *    FatalError -- never a PanicError, a crash, or a store whose
- *    surviving records differ from what was acknowledged.
+ *    surviving records differ from what was acknowledged (for a
+ *    re-put key, the newest acknowledged blob).
  *  - The circuit breaker: the disk tier opens after K consecutive
  *    store errors, skips (not retries) while degraded, re-probes
  *    after the cooldown from the read path, recovers, and keeps the
@@ -27,8 +26,6 @@
  */
 
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
@@ -272,8 +269,6 @@ TEST(StoreFaults, EintrIsRetriedNotFailed)
     Blob out;
     EXPECT_EQ(store.loadStatus(mkey(1), out), StoreStatus::Ok);
     EXPECT_EQ(out, patternBlob(1));
-    EXPECT_EQ(store.ioErrors(), 0u)
-        << "EINTR is an interruption, not an error";
 }
 
 TEST(StoreFaults, ShortWritesAreCompletedByTheExactLoop)
@@ -330,7 +325,6 @@ TEST(StoreFaults, TornAppendIsTrimmedAndTheStoreStaysServable)
         ScopedFaultInjection sc(inj);
         EXPECT_FALSE(store.put(mkey(2), patternBlob(2)));
     }
-    EXPECT_EQ(store.ioErrors(), 1u);
     EXPECT_FALSE(store.contains(mkey(2)));
     Blob out;
     EXPECT_EQ(store.loadStatus(mkey(1), out), StoreStatus::Ok);
@@ -355,7 +349,6 @@ TEST(StoreFaults, EnospcFailsTheOnePutCleanly)
         ScopedFaultInjection sc(inj);
         EXPECT_FALSE(store.put(mkey(1), patternBlob(1)));
     }
-    EXPECT_EQ(store.ioErrors(), 1u);
     EXPECT_TRUE(store.put(mkey(1), patternBlob(1)))
         << "the store must keep working once space is back";
     EXPECT_EQ(store.records(), 1u);
@@ -386,38 +379,24 @@ TEST(StoreFaults, RequiredFsyncFailureFailsThePut)
 
 TEST(StoreFaults, FsyncPoliciesSyncWhenPromised)
 {
-    {
-        ArtifactStore store(tempPath("fs_never"));
+    // An installed injector with nothing armed counts the fsyncs.
+    const auto fsyncs = [](const char *tag, const StoreOptions &so) {
+        FaultInjector inj;
+        ScopedFaultInjection sc(inj);
+        ArtifactStore store(tempPath(tag), so);
         for (std::uint64_t i = 1; i <= 8; ++i)
-            ASSERT_TRUE(store.put(mkey(i), patternBlob(i)));
-        EXPECT_EQ(store.fsyncs(), 0u);
-    }
-    {
-        StoreOptions so;
-        so.fsync = FsyncPolicy::Always;
-        ArtifactStore store(tempPath("fs_always"), so);
-        for (std::uint64_t i = 1; i <= 8; ++i)
-            ASSERT_TRUE(store.put(mkey(i), patternBlob(i)));
-        EXPECT_EQ(store.fsyncs(), 8u);
-    }
-    {
-        StoreOptions so;
-        so.fsync = FsyncPolicy::Interval;
-        so.fsyncIntervalBytes = 1; // every append crosses the line
-        ArtifactStore store(tempPath("fs_interval"), so);
-        for (std::uint64_t i = 1; i <= 8; ++i)
-            ASSERT_TRUE(store.put(mkey(i), patternBlob(i)));
-        EXPECT_EQ(store.fsyncs(), 8u);
-    }
-    {
-        StoreOptions so;
-        so.fsync = FsyncPolicy::Interval;
-        so.fsyncIntervalBytes = 1 << 30; // never crossed by this test
-        ArtifactStore store(tempPath("fs_interval_big"), so);
-        for (std::uint64_t i = 1; i <= 8; ++i)
-            ASSERT_TRUE(store.put(mkey(i), patternBlob(i)));
-        EXPECT_EQ(store.fsyncs(), 0u);
-    }
+            EXPECT_TRUE(store.put(mkey(i), patternBlob(i)));
+        return inj.calls("store.fsync");
+    };
+    StoreOptions so;
+    EXPECT_EQ(fsyncs("fs_never", so), 0u);
+    so.fsync = FsyncPolicy::Always;
+    EXPECT_EQ(fsyncs("fs_always", so), 8u);
+    so.fsync = FsyncPolicy::Interval;
+    so.fsyncIntervalBytes = 1; // every append crosses the line
+    EXPECT_EQ(fsyncs("fs_interval", so), 8u);
+    so.fsyncIntervalBytes = 1 << 30; // never crossed by this test
+    EXPECT_EQ(fsyncs("fs_interval_big", so), 0u);
 }
 
 TEST(StoreFaults, FsyncPolicyParsesAndRejects)
@@ -426,74 +405,15 @@ TEST(StoreFaults, FsyncPolicyParsesAndRejects)
     EXPECT_EQ(fsyncPolicyFromString("interval"), FsyncPolicy::Interval);
     EXPECT_EQ(fsyncPolicyFromString("always"), FsyncPolicy::Always);
     EXPECT_THROW(fsyncPolicyFromString("sometimes"), FatalError);
-    EXPECT_STREQ(fsyncPolicyName(FsyncPolicy::Interval), "interval");
-}
-
-TEST(StoreFaults, CompactRenameFailureLeavesTheOriginalIntact)
-{
-    const std::string path = tempPath("compact_rename");
-    ArtifactStore store(path);
-    for (std::uint64_t i = 1; i <= 3; ++i)
-        ASSERT_TRUE(store.put(mkey(i), patternBlob(i)));
-    ASSERT_TRUE(store.put(mkey(1), patternBlob(11))); // dead record
-    {
-        FaultInjector inj;
-        inj.arm("store.rename", failWith(EIO));
-        ScopedFaultInjection sc(inj);
-        EXPECT_THROW(store.compact(), FatalError);
-    }
-    ArtifactStore reopened(path);
-    EXPECT_EQ(reopened.records(), 3u);
-    Blob out;
-    EXPECT_EQ(reopened.loadStatus(mkey(1), out), StoreStatus::Ok);
-    EXPECT_EQ(out, patternBlob(11));
-}
-
-TEST(StoreFaults, CompactTmpFsyncFailureLeavesTheOriginalIntact)
-{
-    const std::string path = tempPath("compact_fsync");
-    ArtifactStore store(path); // policy Never: the only fsync in
-                               // flight is compact's barrier
-    for (std::uint64_t i = 1; i <= 3; ++i)
-        ASSERT_TRUE(store.put(mkey(i), patternBlob(i)));
-    ASSERT_TRUE(store.put(mkey(2), patternBlob(2))); // dead record so
-                                                     // compact runs
-    {
-        FaultInjector inj;
-        inj.arm("store.fsync", failWith(EIO, 1));
-        ScopedFaultInjection sc(inj);
-        EXPECT_THROW(store.compact(), FatalError);
-    }
-    ArtifactStore reopened(path);
-    EXPECT_EQ(reopened.records(), 3u);
-}
-
-TEST(StoreFaults, StaleCompactTmpIsRemovedOnOpen)
-{
-    const std::string path = tempPath("staletmp");
-    const std::string tmp = path + ".compact.tmp";
-    {
-        ArtifactStore store(path);
-        ASSERT_TRUE(store.put(mkey(1), patternBlob(1)));
-    }
-    // A crashed compaction leaves its temp file behind.
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("leftover", f);
-    std::fclose(f);
-    ArtifactStore store(path);
-    EXPECT_EQ(store.records(), 1u);
-    EXPECT_NE(::access(tmp.c_str(), F_OK), 0)
-        << "open() must clean up a stale compaction temp file";
 }
 
 // ------------------------------------------------------------------
 // The fault matrix
 // ------------------------------------------------------------------
 
-enum class Op { Open, Put, Load, Compact, Restart };
+enum class Op { Open, Put, Reput, Load, Restart };
 
-constexpr Op kOps[] = {Op::Open, Op::Put, Op::Load, Op::Compact,
+constexpr Op kOps[] = {Op::Open, Op::Put, Op::Reput, Op::Load,
                        Op::Restart};
 
 const char *
@@ -502,8 +422,8 @@ opName(Op op)
     switch (op) {
     case Op::Open: return "open";
     case Op::Put: return "put";
+    case Op::Reput: return "reput";
     case Op::Load: return "load";
-    case Op::Compact: return "compact";
     case Op::Restart: return "restart";
     }
     return "?";
@@ -528,7 +448,6 @@ runOp(Op op, const std::string &path, FaultInjector *inj,
       std::map<std::uint64_t, Blob> &expected)
 {
     std::remove(path.c_str());
-    std::remove((path + ".compact.tmp").c_str());
     StoreOptions so;
     so.fsync = FsyncPolicy::Always; // widest syscall coverage per op
     expected.clear();
@@ -541,11 +460,6 @@ runOp(Op op, const std::string &path, FaultInjector *inj,
             std::make_unique<ArtifactStore>(path, so);
         for (std::uint64_t i = 1; i <= 2; ++i)
             EXPECT_TRUE(store->put(mkey(i), expected[i]));
-        if (op == Op::Compact) {
-            // Give compact a dead record to drop.
-            expected[1] = patternBlob(11);
-            EXPECT_TRUE(store->put(mkey(1), expected[1]));
-        }
         if (op == Op::Open)
             store.reset(); // open happens fully under injection
 
@@ -564,6 +478,15 @@ runOp(Op op, const std::string &path, FaultInjector *inj,
                 expected[9] = patternBlob(9);
             break;
         }
+        case Op::Reput: {
+            // Last wins: an acknowledged re-put must replace key 1's
+            // blob, a failed one must leave the old blob served.
+            if (!store->put(mkey(1), patternBlob(11)))
+                out.retFalse = true;
+            else
+                expected[1] = patternBlob(11);
+            break;
+        }
         case Op::Load: {
             Blob b;
             const StoreStatus rc = store->loadStatus(mkey(1), b);
@@ -573,10 +496,6 @@ runOp(Op op, const std::string &path, FaultInjector *inj,
                 EXPECT_EQ(b, expected[1]);
             EXPECT_NE(rc, StoreStatus::Miss)
                 << "a read failure must not masquerade as absence";
-            break;
-        }
-        case Op::Compact: {
-            store->compact();
             break;
         }
         case Op::Restart: {
@@ -596,6 +515,27 @@ runOp(Op op, const std::string &path, FaultInjector *inj,
     return out;
 }
 
+/**
+ * Reopen the log at @p path disarmed: every record it serves must be
+ * byte-identical to the blob last acknowledged for its key. @p cell
+ * names the matrix cell in failure messages.
+ */
+void
+expectServesAcknowledged(const std::string &path,
+                         const std::map<std::uint64_t, Blob> &expected,
+                         const std::string &cell)
+{
+    ArtifactStore verify(path);
+    for (const ArtifactKey &key : verify.keys()) {
+        const auto it = expected.find(key.circuit);
+        ASSERT_NE(it, expected.end())
+            << cell << ": store serves a key never acknowledged";
+        Blob b;
+        ASSERT_EQ(verify.loadStatus(key, b), StoreStatus::Ok) << cell;
+        EXPECT_EQ(b, it->second) << cell << ": surviving record corrupted";
+    }
+}
+
 TEST(FaultMatrix, EveryPointEveryCallIndexEveryOp)
 {
     const std::string path = tempPath("matrix");
@@ -608,36 +548,27 @@ TEST(FaultMatrix, EveryPointEveryCallIndexEveryOp)
         ASSERT_FALSE(base.fatal || base.panic || base.other ||
                      base.retFalse)
             << opName(op) << " must succeed with nothing armed";
+        expectServesAcknowledged(path, expected, opName(op));
 
         for (const std::string &point : discovery.touchedPoints()) {
             const std::uint64_t calls = discovery.calls(point);
             ASSERT_GT(calls, 0u);
             for (std::uint64_t nth = 1; nth <= calls; ++nth) {
+                const std::string cell = std::string(opName(op)) +
+                                         " x " + point + "[" +
+                                         std::to_string(nth) + "]";
                 FaultInjector inj;
                 inj.arm(point, failWith(EIO, nth));
                 const Outcome got = runOp(op, path, &inj, expected);
                 EXPECT_FALSE(got.panic)
-                    << opName(op) << " x " << point << "[" << nth
-                    << "]: PanicError is an internal-bug signal, "
-                       "never a fault outcome";
+                    << cell << ": PanicError is an internal-bug signal, "
+                               "never a fault outcome";
                 EXPECT_FALSE(got.other)
-                    << opName(op) << " x " << point << "[" << nth
-                    << "]: unexpected exception type";
+                    << cell << ": unexpected exception type";
 
                 // Whatever happened, the log must reopen to records
                 // whose bytes match exactly what was acknowledged.
-                ArtifactStore verify(path);
-                for (const ArtifactKey &key : verify.keys()) {
-                    const auto it = expected.find(key.circuit);
-                    ASSERT_NE(it, expected.end())
-                        << opName(op) << " x " << point << "[" << nth
-                        << "]: store serves a key never acknowledged";
-                    Blob b;
-                    ASSERT_EQ(verify.loadStatus(key, b), StoreStatus::Ok);
-                    EXPECT_EQ(b, it->second)
-                        << opName(op) << " x " << point << "[" << nth
-                        << "]: surviving record corrupted";
-                }
+                expectServesAcknowledged(path, expected, cell);
             }
         }
     }

@@ -569,7 +569,6 @@ TEST(ArtifactStore, PutLoadRoundTripAndRestart)
         for (int i = 0; i < 5; ++i)
             EXPECT_TRUE(store.put(keyN(i), blobs[i]));
         EXPECT_EQ(store.records(), 5u);
-        EXPECT_EQ(store.deadRecords(), 0u);
         EXPECT_TRUE(store.contains(keyN(2)));
         EXPECT_FALSE(store.contains(keyN(99)));
     }
@@ -694,35 +693,32 @@ TEST(ArtifactStore, ForeignOrVersionBumpedHeaderStartsCold)
     std::remove(path.c_str());
 }
 
-TEST(ArtifactStore, CompactDropsDeadRecords)
+TEST(ArtifactStore, ReputServesTheNewestBlobBeforeAndAfterReopen)
 {
-    const std::string path = tempStorePath("compact");
+    const std::string path = tempStorePath("reput");
     Rng rng(19);
-    std::vector<std::vector<std::uint8_t>> blobs;
-    for (int i = 0; i < 4; ++i)
-        blobs.push_back(encodeCompileResult(randomResult(rng)));
-
-    ArtifactStore store(path);
-    for (int round = 0; round < 3; ++round)
-        for (int i = 0; i < 4; ++i)
-            ASSERT_TRUE(store.put(keyN(i), blobs[i]));
-    EXPECT_EQ(store.records(), 4u);
-    EXPECT_EQ(store.deadRecords(), 8u);
-    const std::uint64_t before = store.bytesOnDisk();
-
-    store.compact();
-    EXPECT_EQ(store.records(), 4u);
-    EXPECT_EQ(store.deadRecords(), 0u);
-    EXPECT_LT(store.bytesOnDisk(), before);
-    for (int i = 0; i < 4; ++i) {
+    const auto old_blob = encodeCompileResult(randomResult(rng));
+    const auto new_blob = encodeCompileResult(randomResult(rng));
+    ASSERT_NE(old_blob, new_blob);
+    {
+        ArtifactStore store(path);
+        ASSERT_TRUE(store.put(keyN(1), old_blob));
+        ASSERT_TRUE(store.put(keyN(2), old_blob));
+        ASSERT_TRUE(store.put(keyN(1), new_blob));
+        EXPECT_EQ(store.records(), 2u);
         std::vector<std::uint8_t> blob;
-        ASSERT_TRUE(store.load(keyN(i), blob));
-        EXPECT_EQ(blob, blobs[i]);
+        ASSERT_TRUE(store.load(keyN(1), blob));
+        EXPECT_EQ(blob, new_blob);
     }
 
-    // The compacted log must itself recover cleanly.
-    ArtifactStore reopened(path);
-    EXPECT_EQ(reopened.records(), 4u);
+    // Recovery replays the frames in log order: the last one wins.
+    ArtifactStore store(path);
+    EXPECT_EQ(store.records(), 2u);
+    std::vector<std::uint8_t> blob;
+    ASSERT_TRUE(store.load(keyN(1), blob));
+    EXPECT_EQ(blob, new_blob);
+    ASSERT_TRUE(store.load(keyN(2), blob));
+    EXPECT_EQ(blob, old_blob);
     std::remove(path.c_str());
 }
 
@@ -741,8 +737,9 @@ TEST(ArtifactStore, ConcurrentPutsAndLoads)
             for (int i = 0; i < 16; ++i) {
                 store.put(keyN(i), blobs[i]);
                 std::vector<std::uint8_t> blob;
-                if (store.load(keyN((i + t) % 16), blob))
+                if (store.load(keyN((i + t) % 16), blob)) {
                     EXPECT_FALSE(blob.empty());
+                }
             }
         });
     }
