@@ -370,21 +370,26 @@ DeviceRegistry::info() const
     return out;
 }
 
+void
+DeviceRegistry::failUnknownLocked(const std::string &name) const
+{
+    std::vector<std::string> valid;
+    valid.reserve(devices_.size());
+    for (const auto &[n, dev] : devices_) {
+        (void)dev;
+        valid.push_back(n);
+    }
+    QFATAL("unknown device '", name, "'; registered devices: ",
+           join(valid, ", "));
+}
+
 Device
 DeviceRegistry::get(const std::string &name) const
 {
     std::lock_guard<std::mutex> lk(mu_);
     const auto it = devices_.find(name);
-    if (it == devices_.end()) {
-        std::vector<std::string> valid;
-        valid.reserve(devices_.size());
-        for (const auto &[n, dev] : devices_) {
-            (void)dev;
-            valid.push_back(n);
-        }
-        QFATAL("unknown device '", name, "'; registered devices: ",
-               join(valid, ", "));
-    }
+    if (it == devices_.end())
+        failUnknownLocked(name);
     return it->second;
 }
 
@@ -416,16 +421,8 @@ DeviceRegistry::setCalibration(const std::string &name,
 {
     std::lock_guard<std::mutex> lk(mu_);
     const auto it = devices_.find(name);
-    if (it == devices_.end()) {
-        std::vector<std::string> valid;
-        valid.reserve(devices_.size());
-        for (const auto &[n, dev] : devices_) {
-            (void)dev;
-            valid.push_back(n);
-        }
-        QFATAL("unknown device '", name, "'; registered devices: ",
-               join(valid, ", "));
-    }
+    if (it == devices_.end())
+        failUnknownLocked(name);
     Device &dev = it->second;
     QFATAL_IF(!cal.device.empty() && cal.device != name, "calibration is "
               "for device '", cal.device, "', not '", name, "'");

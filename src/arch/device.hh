@@ -191,6 +191,10 @@ class DeviceRegistry
                                  DeviceCalibration cal);
 
   private:
+    /** Throw the unknown-device FatalError, listing every registered
+     *  name. @pre mu_ is held. */
+    [[noreturn]] void failUnknownLocked(const std::string &name) const;
+
     mutable std::mutex mu_;
     std::map<std::string, Device> devices_;
 };

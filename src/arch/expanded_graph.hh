@@ -36,6 +36,13 @@ class ExpandedGraph
     /** The topology this expansion was built from. */
     const Topology &topology() const { return *topo_; }
 
+    /**
+     * Topology::centerUnit(), found once here: that is an all-pairs
+     * BFS, and mapping seeds every placement at the center (progressive
+     * pairing maps up to n/2 + 1 times per compile).
+     */
+    UnitId centerUnit() const { return center_; }
+
     /** True iff two slots may host a 2-operand gate directly. */
     bool adjacent(SlotId a, SlotId b) const
     {
@@ -51,6 +58,7 @@ class ExpandedGraph
   private:
     const Topology *topo_;
     Graph graph_;
+    UnitId center_;
 };
 
 } // namespace qompress

@@ -19,57 +19,98 @@ CostModel::CostModel(const ExpandedGraph &xg, const GateLibrary &lib,
               xg.topology().name(), "' has ", xg.topology().numUnits());
 }
 
+namespace {
+
+/** Every unit's occupancy signature, read once per distance field. */
+std::vector<std::uint8_t>
+signatures(const Layout &layout)
+{
+    std::vector<std::uint8_t> sig(static_cast<std::size_t>(
+        layout.numUnits()));
+    for (UnitId u = 0; u < layout.numUnits(); ++u)
+        sig[u] = layout.unitSignature(u);
+    return sig;
+}
+
+} // namespace
+
 double
-CostModel::unitDecay(UnitId u, double duration, const Layout &layout) const
+CostModel::decay(UnitId u, double duration, bool encoded) const
 {
     const double t1 =
-        cal_ ? (layout.unitEncoded(u) ? cal_->t1QuquartNs[u]
-                                      : cal_->t1QubitNs[u])
-             : (layout.unitEncoded(u) ? lib_->t1Ququart()
-                                      : lib_->t1Qubit());
+        cal_ ? (encoded ? cal_->t1QuquartNs[u] : cal_->t1QubitNs[u])
+             : (encoded ? lib_->t1Ququart() : lib_->t1Qubit());
     return std::exp(-duration / t1);
+}
+
+double
+CostModel::success(PhysGateClass c, SlotId a, SlotId b, bool enc_a,
+                   bool enc_b) const
+{
+    double dur = lib_->duration(c);
+    double fid = lib_->fidelity(c);
+    const bool two_unit = b != kInvalid && slotUnit(b) != slotUnit(a);
+    if (cal_ && two_unit) {
+        if (const auto *e = cal_->edge(slotUnit(a), slotUnit(b))) {
+            fid *= e->fidelityScale;
+            dur *= e->durationScale;
+        }
+    }
+    double s = fid * decay(slotUnit(a), dur, enc_a);
+    if (two_unit)
+        s *= decay(slotUnit(b), dur, enc_b);
+    return s;
+}
+
+double
+CostModel::swapPrice(SlotId a, SlotId b, bool enc_a, bool enc_b) const
+{
+    const PhysGateClass c =
+        classifySwap(slotPos(a), enc_a, slotPos(b), enc_b,
+                     ExpandedGraph::sameUnit(a, b));
+    return -std::log(success(c, a, b, enc_a, enc_b));
+}
+
+double
+CostModel::hopPrice(SlotId from, SlotId into, std::uint8_t sig_from,
+                    std::uint8_t sig_into) const
+{
+    if (((sig_into >> slotPos(into)) & 1) == 0)
+        return ShortestPaths::kInf;
+    double cost = swapPrice(from, into, sig_from == 3, sig_into == 3);
+    if (!ExpandedGraph::sameUnit(from, into) && sig_into == 3)
+        cost *= penalty_;
+    return cost;
+}
+
+double
+CostModel::swap4Price(UnitId u, UnitId v, bool enc_u, bool enc_v) const
+{
+    return -std::log(success(PhysGateClass::SwapFull, makeSlot(u, 0),
+                             makeSlot(v, 0), enc_u, enc_v));
 }
 
 double
 CostModel::gateSuccess(PhysGateClass c, SlotId a, SlotId b,
                        const Layout &layout) const
 {
-    double dur = lib_->duration(c);
-    double fid = lib_->fidelity(c);
-    if (cal_ && b != kInvalid && slotUnit(b) != slotUnit(a)) {
-        if (const auto *e = cal_->edge(slotUnit(a), slotUnit(b))) {
-            fid *= e->fidelityScale;
-            dur *= e->durationScale;
-        }
-    }
-    double s = fid * unitDecay(slotUnit(a), dur, layout);
-    if (b != kInvalid && slotUnit(b) != slotUnit(a))
-        s *= unitDecay(slotUnit(b), dur, layout);
-    return s;
+    return success(c, a, b, layout.unitEncoded(slotUnit(a)),
+                   b != kInvalid && layout.unitEncoded(slotUnit(b)));
 }
 
 double
 CostModel::swapCost(SlotId a, SlotId b, const Layout &layout) const
 {
-    const bool same = ExpandedGraph::sameUnit(a, b);
-    const PhysGateClass c = classifySwap(
-        slotPos(a), layout.unitEncoded(slotUnit(a)),
-        slotPos(b), layout.unitEncoded(slotUnit(b)), same);
-    return -std::log(gateSuccess(c, a, b, layout));
+    return swapPrice(a, b, layout.unitEncoded(slotUnit(a)),
+                     layout.unitEncoded(slotUnit(b)));
 }
 
 double
 CostModel::routingHopCost(SlotId from, SlotId into,
                           const Layout &layout) const
 {
-    if (!layout.occupied(into))
-        return ShortestPaths::kInf;
-    double cost = swapCost(from, into, layout);
-    if (!ExpandedGraph::sameUnit(from, into) &&
-        layout.unitEncoded(slotUnit(into))) {
-        cost *= penalty_;
-    }
-    return cost;
+    return hopPrice(from, into, layout.unitSignature(slotUnit(from)),
+                    layout.unitSignature(slotUnit(into)));
 }
 
 double
@@ -85,53 +126,37 @@ CostModel::cxCost(SlotId ctl, SlotId tgt, const Layout &layout) const
 ShortestPaths
 CostModel::mappingDistances(SlotId source, const Layout &layout) const
 {
-    return dijkstra(
-        xg_->graph(), source,
-        [this, &layout](int u, int v, double) {
-            return swapCost(u, v, layout);
-        });
+    const auto sig = signatures(layout);
+    return dijkstra(xg_->graph(), source, [&](int a, int b, double) {
+        return swapPrice(a, b, sig[slotUnit(a)] == 3,
+                         sig[slotUnit(b)] == 3);
+    });
 }
 
 ShortestPaths
 CostModel::routingDistances(SlotId source, const Layout &layout) const
 {
-    return dijkstra(
-        xg_->graph(), source,
-        [this, &layout](int u, int v, double) {
-            return routingHopCost(u, v, layout);
-        });
+    const auto sig = signatures(layout);
+    return dijkstra(xg_->graph(), source, [&](int from, int into, double) {
+        return hopPrice(from, into, sig[slotUnit(from)],
+                        sig[slotUnit(into)]);
+    });
 }
 
 double
 CostModel::swap4Cost(UnitId u, UnitId v, const Layout &layout) const
 {
-    double dur = lib_->duration(PhysGateClass::SwapFull);
-    double fid = lib_->fidelity(PhysGateClass::SwapFull);
-    if (cal_) {
-        if (const auto *e = cal_->edge(u, v)) {
-            fid *= e->fidelityScale;
-            dur *= e->durationScale;
-        }
-    }
-    auto decay = [&](UnitId w) {
-        const double t1 =
-            cal_ ? (layout.unitEncoded(w) ? cal_->t1QuquartNs[w]
-                                          : cal_->t1QubitNs[w])
-                 : (layout.unitEncoded(w) ? lib_->t1Ququart()
-                                          : lib_->t1Qubit());
-        return std::exp(-dur / t1);
-    };
-    return -std::log(fid * decay(u) * decay(v));
+    return swap4Price(u, v, layout.unitEncoded(u), layout.unitEncoded(v));
 }
 
 ShortestPaths
 CostModel::unitDistances(UnitId source, const Layout &layout) const
 {
-    return dijkstra(
-        xg_->topology().graph(), source,
-        [this, &layout](int u, int v, double) {
-            return swap4Cost(u, v, layout);
-        });
+    const auto sig = signatures(layout);
+    return dijkstra(xg_->topology().graph(), source,
+                    [&](int u, int v, double) {
+                        return swap4Price(u, v, sig[u] == 3, sig[v] == 3);
+                    });
 }
 
 void

@@ -97,8 +97,29 @@ class CostModel
     const DeviceCalibration *calibration() const { return cal_; }
 
   private:
-    double unitDecay(UnitId u, double duration,
-                     const Layout &layout) const;
+    /** e^(-duration / T1) of unit @p u in the given encoding state. */
+    double decay(UnitId u, double duration, bool encoded) const;
+
+    /**
+     * gateSuccess given each unit's encoded bit (@p b may be
+     * kInvalid). Pure: it reads no layout, so a distance field reads
+     * every unit's signature once and prices each relaxation through
+     * this, and the public costs wrap it too -- a field's edge is
+     * bit-identical to the public cost of that edge.
+     */
+    double success(PhysGateClass c, SlotId a, SlotId b, bool enc_a,
+                   bool enc_b) const;
+
+    /** swapCost given each endpoint unit's encoded bit. */
+    double swapPrice(SlotId a, SlotId b, bool enc_a, bool enc_b) const;
+
+    /** routingHopCost given each endpoint unit's occupancy signature
+     *  (Layout::unitSignature). */
+    double hopPrice(SlotId from, SlotId into, std::uint8_t sig_from,
+                    std::uint8_t sig_into) const;
+
+    /** swap4Cost given each unit's encoded bit. */
+    double swap4Price(UnitId u, UnitId v, bool enc_u, bool enc_v) const;
 
     const ExpandedGraph *xg_;
     const GateLibrary *lib_;

@@ -107,7 +107,7 @@ mapCircuit(const Circuit &circuit, const InteractionModel &im,
     QubitId seed = order.front();
     if (isPairSecond(seed, opts.pairs))
         seed = partner[seed];
-    layout.place(seed, makeSlot(topo.centerUnit(), 0));
+    layout.place(seed, makeSlot(xg.centerUnit(), 0));
 
     while (layout.numMapped() < n) {
         // Pick the unmapped qubit with the strongest ties to the placed
@@ -174,7 +174,7 @@ mapCircuit(const Circuit &circuit, const InteractionModel &im,
             if (fields.empty()) {
                 // Untied qubit: prefer staying near the center.
                 fields.emplace_back(
-                    1.0, fetch(makeSlot(topo.centerUnit(), 0)));
+                    1.0, fetch(makeSlot(xg.centerUnit(), 0)));
             }
             double best_score = ShortestPaths::kInf;
             for (SlotId s : cands) {

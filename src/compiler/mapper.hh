@@ -48,8 +48,9 @@ struct MapperOptions
 /**
  * Greedy weighted placement.
  *
- * Seeds the highest-total-weight qubit at the device's center unit and
- * then repeatedly places the unmapped qubit with the strongest ties to
+ * Seeds the highest-total-weight qubit at the device's center unit
+ * (ExpandedGraph::centerUnit, found once per expansion) and then
+ * repeatedly places the unmapped qubit with the strongest ties to
  * the already-placed set at the slot minimizing the weighted sum of
  * mapping distances (paper's scoring). Position-1 slots open up only
  * after position 0 of the same unit is taken; the second element of a

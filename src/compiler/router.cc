@@ -353,7 +353,6 @@ void
 validateCompiled(const CompiledCircuit &compiled, const Topology &topo)
 {
     Layout layout = compiled.initialLayout();
-    const ExpandedGraph xg(topo);
 
     for (const auto &g : compiled.gates()) {
         // Structural checks.

@@ -46,41 +46,6 @@ bfs(const Graph &g, int source)
     return sp;
 }
 
-ShortestPaths
-dijkstra(const Graph &g, int source,
-         const std::function<double(int, int, double)> &weight_override)
-{
-    const int n = g.numVertices();
-    QPANIC_IF(source < 0 || source >= n, "dijkstra: bad source ", source);
-    ShortestPaths sp;
-    sp.dist.assign(n, ShortestPaths::kInf);
-    sp.parent.assign(n, -1);
-    using Item = std::pair<double, int>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-    sp.dist[source] = 0.0;
-    pq.emplace(0.0, source);
-    while (!pq.empty()) {
-        const auto [d, u] = pq.top();
-        pq.pop();
-        if (d > sp.dist[u])
-            continue;
-        for (const auto &e : g.neighbors(u)) {
-            const double w = weight_override
-                ? weight_override(u, e.to, e.weight)
-                : e.weight;
-            QPANIC_IF(w < 0.0, "dijkstra: negative weight on (",
-                      u, ", ", e.to, ")");
-            const double nd = d + w;
-            if (nd < sp.dist[e.to]) {
-                sp.dist[e.to] = nd;
-                sp.parent[e.to] = u;
-                pq.emplace(nd, e.to);
-            }
-        }
-    }
-    return sp;
-}
-
 std::vector<int>
 connectedComponents(const Graph &g)
 {

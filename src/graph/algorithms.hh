@@ -10,8 +10,11 @@
 
 #include <functional>
 #include <limits>
+#include <queue>
+#include <utility>
 #include <vector>
 
+#include "common/error.hh"
 #include "graph/graph.hh"
 
 namespace qompress {
@@ -33,16 +36,55 @@ struct ShortestPaths
 /** Unweighted BFS distances (edge count). */
 ShortestPaths bfs(const Graph &g, int source);
 
+/** dijkstra's default edge weight: the weight stored on the edge. */
+struct StoredWeight
+{
+    double operator()(int, int, double w) const { return w; }
+};
+
 /**
  * Dijkstra with non-negative edge weights.
  *
- * @param weight_override optional callable (u, v, default_w) -> cost;
- *        lets the mapper price edges dynamically (encoded vs bare) while
- *        reusing one topology graph. Must be symmetric.
+ * @param weight callable (u, v, stored_w) -> cost of relaxing u -> v;
+ *        lets the cost model price edges dynamically (encoded vs bare)
+ *        while reusing one topology graph. Must be symmetric; a
+ *        negative cost panics. A template parameter, not a
+ *        std::function, so the pricing inlines into the relaxation
+ *        loop that mapping and routing run tens of thousands of times
+ *        per compile.
  */
-ShortestPaths dijkstra(
-    const Graph &g, int source,
-    const std::function<double(int, int, double)> &weight_override = {});
+template <typename Weight = StoredWeight>
+ShortestPaths
+dijkstra(const Graph &g, int source, const Weight &weight = {})
+{
+    const int n = g.numVertices();
+    QPANIC_IF(source < 0 || source >= n, "dijkstra: bad source ", source);
+    ShortestPaths sp;
+    sp.dist.assign(n, ShortestPaths::kInf);
+    sp.parent.assign(n, -1);
+    using Item = std::pair<double, int>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    sp.dist[source] = 0.0;
+    pq.emplace(0.0, source);
+    while (!pq.empty()) {
+        const auto [d, u] = pq.top();
+        pq.pop();
+        if (d > sp.dist[u])
+            continue;
+        for (const auto &e : g.neighbors(u)) {
+            const double w = weight(u, e.to, e.weight);
+            QPANIC_IF(w < 0.0, "dijkstra: negative weight on (",
+                      u, ", ", e.to, ")");
+            const double nd = d + w;
+            if (nd < sp.dist[e.to]) {
+                sp.dist[e.to] = nd;
+                sp.parent[e.to] = u;
+                pq.emplace(nd, e.to);
+            }
+        }
+    }
+    return sp;
+}
 
 /** Connected component id per vertex (ids are dense, start at 0). */
 std::vector<int> connectedComponents(const Graph &g);

@@ -132,7 +132,15 @@ xclose(int fd)
     return ::close(fd);
 }
 
-bool
+/** How an exact read ended. */
+enum class ReadEnd
+{
+    Full,  ///< every byte arrived
+    Eof,   ///< the file ended first
+    Error, ///< a pread failed; errno says why
+};
+
+ReadEnd
 preadExact(int fd, void *buf, std::size_t n, std::uint64_t off)
 {
     auto *p = static_cast<std::uint8_t *>(buf);
@@ -140,13 +148,15 @@ preadExact(int fd, void *buf, std::size_t n, std::uint64_t off)
         const ssize_t got = xpread(fd, p, n, off);
         if (got < 0 && errno == EINTR)
             continue; // interrupted, not failed: retry the same range
-        if (got <= 0)
-            return false;
+        if (got < 0)
+            return ReadEnd::Error;
+        if (got == 0)
+            return ReadEnd::Eof;
         p += got;
         off += static_cast<std::uint64_t>(got);
         n -= static_cast<std::size_t>(got);
     }
-    return true;
+    return ReadEnd::Full;
 }
 
 bool
@@ -200,7 +210,14 @@ ArtifactStore::ArtifactStore(std::string path, StoreOptions opts)
     : path_(std::move(path)), opts_(opts)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    openAndRecoverLocked();
+    try {
+        openAndRecoverLocked();
+    } catch (...) {
+        // No destructor runs for a constructor that throws.
+        if (fd_ >= 0)
+            (void)xclose(fd_);
+        throw;
+    }
 }
 
 ArtifactStore::~ArtifactStore()
@@ -221,12 +238,22 @@ ArtifactStore::openAndRecoverLocked()
               path_, "': ", std::strerror(errno));
     const auto file_size = static_cast<std::uint64_t>(st.st_size);
 
+    // A read that fails with an errno is disk trouble, not a torn
+    // tail: truncating there would delete every acknowledged frame
+    // behind it. End the open instead and leave the file as it is.
+    auto scanRead = [&](void *buf, std::size_t n, std::uint64_t at) {
+        const ReadEnd end = preadExact(fd_, buf, n, at);
+        QFATAL_IF(end == ReadEnd::Error, "cannot read artifact store '",
+                  path_, "': ", std::strerror(errno));
+        return end == ReadEnd::Full;
+    };
+
     // Header check. Anything but (our magic, our format version) means
     // the file is foreign or written by a different build: start cold.
     bool fresh = true;
     if (file_size >= kStoreHeaderBytes) {
         std::uint8_t hdr[kStoreHeaderBytes];
-        if (preadExact(fd_, hdr, sizeof hdr, 0)) {
+        if (scanRead(hdr, sizeof hdr, 0)) {
             ByteReader r(hdr, sizeof hdr, "artifact store header");
             fresh = r.u32() != kStoreMagic ||
                     r.u32() != kArtifactFormatVersion;
@@ -249,7 +276,7 @@ ArtifactStore::openAndRecoverLocked()
     std::uint64_t off = kStoreHeaderBytes;
     while (off + kFrameHeaderBytes <= file_size) {
         std::uint8_t fh[kFrameHeaderBytes];
-        if (!preadExact(fd_, fh, sizeof fh, off))
+        if (!scanRead(fh, sizeof fh, off))
             break;
         ByteReader r(fh, sizeof fh, "artifact store frame");
         if (r.u32() != kFrameMagic)
@@ -259,8 +286,7 @@ ArtifactStore::openAndRecoverLocked()
         if (body_len > file_size - off - kFrameHeaderBytes)
             break;
         std::vector<std::uint8_t> body(body_len);
-        if (!preadExact(fd_, body.data(), body.size(),
-                        off + kFrameHeaderBytes))
+        if (!scanRead(body.data(), body.size(), off + kFrameHeaderBytes))
             break;
         if (crc32(body.data(), body.size()) != declared_crc)
             break;
@@ -346,7 +372,8 @@ ArtifactStore::loadStatus(const ArtifactKey &key,
     if (it == index_.end())
         return StoreStatus::Miss;
     out.resize(it->second.size);
-    return preadExact(fd_, out.data(), out.size(), it->second.offset)
+    return preadExact(fd_, out.data(), out.size(), it->second.offset) ==
+                   ReadEnd::Full
                ? StoreStatus::Ok
                : StoreStatus::Error;
 }
@@ -365,7 +392,7 @@ ArtifactStore::probe()
     if (fd_ < 0)
         return false;
     std::uint8_t hdr[kStoreHeaderBytes];
-    if (!preadExact(fd_, hdr, sizeof hdr, 0))
+    if (preadExact(fd_, hdr, sizeof hdr, 0) != ReadEnd::Full)
         return false;
     ByteReader r(hdr, sizeof hdr, "artifact store header");
     return r.u32() == kStoreMagic && r.u32() == kArtifactFormatVersion;

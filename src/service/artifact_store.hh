@@ -18,9 +18,12 @@
  * from the front, indexes every intact frame, stops at the first bad
  * one (short, wrong magic, oversized length, checksum mismatch) and
  * truncates the file back to the intact prefix so subsequent appends
- * stay clean. A store-header version mismatch truncates the whole
- * file: artifacts are caches of deterministic compiles, so starting
- * cold is always safe, and guessing at a foreign layout never is.
+ * stay clean. A read that fails with an errno is not a bad frame: it
+ * ends the open with a FatalError and leaves the file untouched, so a
+ * transient read error never deletes acknowledged records. A
+ * store-header version mismatch truncates the whole file: artifacts
+ * are caches of deterministic compiles, so starting cold is always
+ * safe, and guessing at a foreign layout never is.
  *
  * Re-putting a key appends a new frame and repoints the index; the
  * last frame wins on recovery too. The superseded frame stays on disk:
@@ -94,8 +97,9 @@ class ArtifactStore
   public:
     /**
      * Open (creating if absent) the log at @p path and index its
-     * intact prefix. Throws FatalError if the file cannot be opened
-     * or created -- that is user configuration, not corruption.
+     * intact prefix. Throws FatalError if the file cannot be opened,
+     * created or read -- that is user configuration or disk trouble,
+     * not corruption, and the file is left as it was.
      */
     explicit ArtifactStore(std::string path, StoreOptions opts = {});
     ~ArtifactStore();

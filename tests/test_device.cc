@@ -388,16 +388,32 @@ TEST(DeviceRegistry, DefaultZoo)
 
 TEST(DeviceRegistry, UnknownDeviceErrorListsNames)
 {
+    // get() and setCalibration() word an unknown name alike, listing
+    // every registered device in name order.
     DeviceRegistry reg;
-    try {
-        reg.get("bogus");
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("bogus"), std::string::npos);
-        EXPECT_NE(what.find("falcon27"), std::string::npos);
-        EXPECT_NE(what.find("heavyhex65"), std::string::npos);
-    }
+    const std::string want =
+        "unknown device 'bogus'; registered devices: falcon27, grid64, "
+        "heavyhex127, heavyhex23, heavyhex65, ring65";
+    const auto expectListed = [&](const auto &call, const char *via) {
+        try {
+            call();
+            ADD_FAILURE() << via << ": expected FatalError";
+        } catch (const FatalError &e) {
+            // The message ends with the text; a location prefix leads.
+            const std::string what = e.what();
+            EXPECT_TRUE(what.size() >= want.size() &&
+                        what.compare(what.size() - want.size(),
+                                     want.size(), want) == 0)
+                << via << ": " << what;
+        }
+    };
+    expectListed([&] { reg.get("bogus"); }, "get");
+    expectListed(
+        [&] {
+            reg.setCalibration("bogus", DeviceCalibration::uniform(
+                                            "bogus", 3, 1000.0, 500.0));
+        },
+        "setCalibration");
 }
 
 TEST(DeviceRegistry, AddValidatesNames)

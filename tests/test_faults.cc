@@ -377,6 +377,56 @@ TEST(StoreFaults, RequiredFsyncFailureFailsThePut)
     EXPECT_FALSE(reopened.contains(mkey(2)));
 }
 
+/**
+ * Put three records, then reopen with the @p nth store.pread failing
+ * with EIO: the open must throw a FatalError naming the path, and a
+ * clean reopen must serve all three records byte-identical.
+ */
+void
+expectReadErrorAtOpenKeepsEveryRecord(const char *tag, std::uint64_t nth)
+{
+    const std::string path = tempPath(tag);
+    {
+        ArtifactStore store(path);
+        for (std::uint64_t i = 1; i <= 3; ++i)
+            ASSERT_TRUE(store.put(mkey(i), patternBlob(i)));
+    }
+    {
+        FaultInjector inj;
+        inj.arm("store.pread", failWith(EIO, nth));
+        ScopedFaultInjection sc(inj);
+        try {
+            ArtifactStore reopened(path);
+            ADD_FAILURE() << "a failed read at open must end the open";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+                << e.what();
+        }
+    }
+    ArtifactStore clean(path);
+    EXPECT_EQ(clean.records(), 3u);
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+        Blob out;
+        ASSERT_EQ(clean.loadStatus(mkey(i), out), StoreStatus::Ok)
+            << "record " << i;
+        EXPECT_EQ(out, patternBlob(i)) << "record " << i;
+    }
+}
+
+TEST(StoreFaults, ReadErrorOnAFrameAtOpenKeepsEveryRecord)
+{
+    // pread call 1 reads the store header, 2-3 frame 1, 4 frame 2's
+    // header: a torn-tail scan would truncate frames 2 and 3 away.
+    expectReadErrorAtOpenKeepsEveryRecord("readerr_frame", 4);
+}
+
+TEST(StoreFaults, ReadErrorOnTheHeaderAtOpenKeepsEveryRecord)
+{
+    // An unread header is not a foreign one: starting cold would
+    // truncate the whole log.
+    expectReadErrorAtOpenKeepsEveryRecord("readerr_header", 1);
+}
+
 TEST(StoreFaults, FsyncPoliciesSyncWhenPromised)
 {
     // An installed injector with nothing armed counts the fsyncs.
@@ -516,9 +566,9 @@ runOp(Op op, const std::string &path, FaultInjector *inj,
 }
 
 /**
- * Reopen the log at @p path disarmed: every record it serves must be
- * byte-identical to the blob last acknowledged for its key. @p cell
- * names the matrix cell in failure messages.
+ * Reopen the log at @p path disarmed: it must serve exactly the
+ * acknowledged keys, each byte-identical to the blob last acknowledged
+ * for it. @p cell names the matrix cell in failure messages.
  */
 void
 expectServesAcknowledged(const std::string &path,
@@ -526,13 +576,13 @@ expectServesAcknowledged(const std::string &path,
                          const std::string &cell)
 {
     ArtifactStore verify(path);
-    for (const ArtifactKey &key : verify.keys()) {
-        const auto it = expected.find(key.circuit);
-        ASSERT_NE(it, expected.end())
-            << cell << ": store serves a key never acknowledged";
+    EXPECT_EQ(verify.records(), expected.size())
+        << cell << ": the store must serve exactly the acknowledged keys";
+    for (const auto &[n, blob] : expected) {
         Blob b;
-        ASSERT_EQ(verify.loadStatus(key, b), StoreStatus::Ok) << cell;
-        EXPECT_EQ(b, it->second) << cell << ": surviving record corrupted";
+        ASSERT_EQ(verify.loadStatus(mkey(n), b), StoreStatus::Ok)
+            << cell << ": acknowledged record " << n << " lost";
+        EXPECT_EQ(b, blob) << cell << ": record " << n << " corrupted";
     }
 }
 

@@ -3,14 +3,17 @@
  * Differential tests for the hot-path overhaul: optimized statevector
  * kernels vs. the retained naive reference, allocation-free GRAPE
  * gradients vs. the naive implementation, the shared-series Van Loan
- * exponential vs. the augmented-matrix construction, and cached vs.
+ * exponential vs. the augmented-matrix construction, signature-priced
+ * distance fields vs. per-relaxation public pricing, and cached vs.
  * uncached routing distance fields.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "arch/device.hh"
 #include "bench_util.hh"
 #include "circuits/bv.hh"
 #include "circuits/graphs.hh"
@@ -457,6 +460,113 @@ TEST(HotpathCache, SurvivesDistinctLayoutInstances)
     const auto &recomputed = cache.mapping(0, c);
     EXPECT_EQ(cache.misses(), 2u);
     EXPECT_EQ(direct.dist, recomputed.dist);
+}
+
+/** Equal distances to the bit (memcmp, so -0.0 != +0.0) and equal
+ *  parent trees. */
+void
+expectSameField(const ShortestPaths &got, const ShortestPaths &want,
+                const std::string &what)
+{
+    ASSERT_EQ(got.dist.size(), want.dist.size()) << what;
+    EXPECT_EQ(std::memcmp(got.dist.data(), want.dist.data(),
+                          got.dist.size() * sizeof(double)),
+              0)
+        << what;
+    EXPECT_EQ(got.parent, want.parent) << what;
+}
+
+/** A layout over @p units units whose every unit draws one of the four
+ *  occupancy signatures (empty, position 0, position 1, encoded). */
+Layout
+randomLayout(int units, Rng &rng)
+{
+    std::vector<SlotId> slots;
+    for (UnitId u = 0; u < units; ++u) {
+        const std::uint64_t sig = rng.nextUint(4);
+        for (int pos = 0; pos < 2; ++pos) {
+            if (sig & (1u << pos))
+                slots.push_back(makeSlot(u, pos));
+        }
+    }
+    Layout layout(static_cast<int>(slots.size()), units);
+    for (std::size_t q = 0; q < slots.size(); ++q)
+        layout.place(static_cast<QubitId>(q), slots[q]);
+    return layout;
+}
+
+/** Per-unit T1s around the library's and per-coupling fidelity and
+ *  duration scales on most edges: a calibration that prices every
+ *  unit and coupling differently. */
+DeviceCalibration
+randomCalibration(const Topology &topo, const GateLibrary &lib, Rng &rng)
+{
+    DeviceCalibration cal = DeviceCalibration::uniform(
+        topo.name(), topo.numUnits(), lib.t1Qubit(), lib.t1Ququart());
+    for (UnitId u = 0; u < topo.numUnits(); ++u) {
+        cal.t1QubitNs[u] *= rng.nextDouble(0.5, 1.5);
+        cal.t1QuquartNs[u] *= rng.nextDouble(0.5, 1.5);
+    }
+    for (const auto &e : topo.graph().edges()) {
+        if (rng.nextBool(0.75)) {
+            cal.setEdge(e.u, e.v, rng.nextDouble(0.9, 1.0),
+                        rng.nextDouble(0.8, 1.5));
+        }
+    }
+    return cal;
+}
+
+TEST(HotpathCost, FieldsMatchPerRelaxationPublicPricing)
+{
+    // Each field prices its relaxations from unit signatures read once
+    // per field; the reference prices every relaxation through the
+    // public per-edge costs, reading the layout each time.
+    std::vector<Topology> topos = {Topology::ring(7), Topology::grid(10),
+                                   Topology::line(6)};
+    const DeviceRegistry zoo;
+    for (const DeviceInfo &d : zoo.info())
+        topos.push_back(zoo.get(d.name).topology);
+    const GateLibrary lib;
+    Rng rng(20240611);
+    for (const Topology &topo : topos) {
+        const ExpandedGraph xg(topo);
+        EXPECT_EQ(xg.centerUnit(), topo.centerUnit()) << topo.name();
+        const DeviceCalibration cal = randomCalibration(topo, lib, rng);
+        const DeviceCalibration *const pricings[] = {nullptr, &cal};
+        for (const DeviceCalibration *c : pricings) {
+            const CostModel cost(xg, lib, 1.25, c);
+            for (int i = 0; i < 200; ++i) {
+                const Layout layout = randomLayout(topo.numUnits(), rng);
+                const std::string what = topo.name() +
+                                         (c ? " calibrated" : "") +
+                                         " layout " + std::to_string(i);
+                const SlotId s =
+                    static_cast<SlotId>(rng.nextUint(xg.numSlots()));
+                expectSameField(
+                    cost.mappingDistances(s, layout),
+                    dijkstra(xg.graph(), s,
+                             [&](int a, int b, double) {
+                                 return cost.swapCost(a, b, layout);
+                             }),
+                    "mapping " + what);
+                expectSameField(
+                    cost.routingDistances(s, layout),
+                    dijkstra(xg.graph(), s,
+                             [&](int a, int b, double) {
+                                 return cost.routingHopCost(a, b, layout);
+                             }),
+                    "routing " + what);
+                const UnitId u = slotUnit(s);
+                expectSameField(
+                    cost.unitDistances(u, layout),
+                    dijkstra(topo.graph(), u,
+                             [&](int a, int b, double) {
+                                 return cost.swap4Cost(a, b, layout);
+                             }),
+                    "unit " + what);
+            }
+        }
+    }
 }
 
 /** Route one circuit twice, cache on/off, and demand identical output. */
