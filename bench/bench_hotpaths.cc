@@ -332,7 +332,7 @@ benchQaoaHeavyHex(int reps, int rounds, Report &rep, Checks &checks)
     MapperOptions mopts;
     mopts.pairs = pairs;
 
-    std::uint64_t hits = 0, misses = 0, revalidations = 0;
+    std::uint64_t hits = 0, misses = 0;
     auto run = [&](bool use_cache, bool collect_stats) {
         CompilerConfig run_cfg = cfg;
         run_cfg.useDistanceCache = use_cache;
@@ -347,7 +347,6 @@ benchQaoaHeavyHex(int reps, int rounds, Report &rep, Checks &checks)
         if (collect_stats) {
             hits = ctx.cacheStats().hits();
             misses = ctx.cacheStats().misses();
-            revalidations = ctx.cacheStats().revalidations();
         }
         return out;
     };
@@ -373,7 +372,6 @@ benchQaoaHeavyHex(int reps, int rounds, Report &rep, Checks &checks)
             static_cast<std::uint64_t>(cached_out.numGates()));
     rep.add("qaoa_hh_cache_hits", hits);
     rep.add("qaoa_hh_cache_misses", misses);
-    rep.add("qaoa_hh_cache_revalidations", revalidations);
     rep.add("qaoa_hh_identical", identical);
     checks.expect(identical,
                   "partial-invalidation cached and uncached QAOA/heavy-hex "
@@ -880,9 +878,9 @@ benchTemplate(int reps, int rounds, int num_angles, Report &rep,
 }
 
 /** A disk-warm service must serve the catalog at least this much
- *  faster than cold compiles: a disk hit is one pread + CRC check +
- *  decode, with mapping/routing/scheduling all skipped. Asserted
- *  under --check. */
+ *  faster than cold compiles, median pass against median pass: a disk
+ *  hit is one pread + CRC check + decode, with mapping/routing/
+ *  scheduling all skipped. Asserted under --check. */
 constexpr double kPersistDiskWarmMargin = 5.0;
 
 /**
@@ -983,11 +981,10 @@ benchPersist(int reps, int sizes_hi, Report &rep, Checks &checks)
     }
     std::remove(store_path.c_str());
 
-    const double disk_speedup = speedup(cold.ms(), disk.ms());
     rep.add("persist_cold_ms", cold.ms());
     rep.add("persist_disk_ms", disk.ms());
     rep.add("persist_memo_ms", memo.ms());
-    rep.add("persist_disk_speedup", disk_speedup, "%.3f");
+    rep.add("persist_disk_speedup", speedup(cold.ms(), disk.ms()), "%.3f");
     rep.add("persist_memo_speedup", speedup(cold.ms(), memo.ms()), "%.3f");
     rep.add("persist_requests", static_cast<std::uint64_t>(reqs.size()));
     rep.add("persist_disk_hits", restarted.diskHits);
@@ -1003,9 +1000,16 @@ benchPersist(int reps, int sizes_hi, Report &rep, Checks &checks)
     checks.expect(restarted.diskHits > 0,
                   "the warm-restarted service served requests from the "
                   "disk tier");
-    checks.expect(disk_speedup >= kPersistDiskWarmMargin,
-                  "a disk-warm restart serves the catalog >= the "
-                  "persistence tier's expected margin over cold compiles");
+    // Medians, not the reported means: one preempted cold pass moves
+    // a mean of a few passes far more than the floor's slack.
+    const double median_speedup =
+        speedup(cold.medianMs(), disk.medianMs());
+    checks.expect(median_speedup >= kPersistDiskWarmMargin,
+                  format("a disk-warm restart serves the catalog >= the "
+                         "persistence tier's expected margin over cold "
+                         "compiles (median cold / median disk pass: "
+                         "%.2f)",
+                         median_speedup));
 }
 
 /**
@@ -1159,11 +1163,12 @@ main(int argc, char **argv)
     const int template_reps = check ? 1 : (args.quick ? 2 : 3);
     const int template_rounds = check ? 1 : 2;
     const int template_angles = 20;
-    // The disk-warm/cold ratio gates --check; the margin is wide
-    // (kPersistDiskWarmMargin vs a real >= 100x: a decode pass costs
-    // microseconds against milliseconds of compiles), and the cheap
-    // disk/memo passes are run 20x/100x per rep.
-    const int persist_reps = check ? 2 : (args.quick ? 2 : 4);
+    // The disk-warm/cold ratio gates --check on medians, so --check
+    // times 7 cold passes; the cheap disk/memo passes run 20x/100x per
+    // rep. The margin is kPersistDiskWarmMargin against a real ~9x
+    // on a 4-core host (a ~0.5 ms decode pass against ~4.7 ms of
+    // compiles).
+    const int persist_reps = check ? 7 : (args.quick ? 2 : 4);
     // Must differ from the grid's base size (12) in every mode: equal
     // sizes would collapse the catalog to duplicate keys, which the
     // write-behind dedup guard would surface as disk_writes < requests.

@@ -13,6 +13,7 @@
 #ifndef QOMPRESS_BENCH_BENCH_UTIL_HH
 #define QOMPRESS_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -113,7 +114,7 @@ banner(const std::string &title, const std::string &paper_ref)
 /**
  * The benches' one timing primitive. Each time() call is one timed
  * window around @p fn, so setup done outside the call stays untimed;
- * ms() is the mean window.
+ * ms() is the mean window and medianMs() the median one.
  */
 class SectionTimer
 {
@@ -128,17 +129,36 @@ class SectionTimer
         const double ms = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
-        totalMs_ += ms;
-        ++windows_;
+        windows_.push_back(ms);
         return ms;
     }
 
     /** Mean window in milliseconds (0 before the first window). */
-    double ms() const { return windows_ ? totalMs_ / windows_ : 0.0; }
+    double
+    ms() const
+    {
+        double total = 0.0;
+        for (double w : windows_)
+            total += w;
+        return windows_.empty() ? 0.0 : total / windows_.size();
+    }
+
+    /** Median window in milliseconds, the mean of the middle two for
+     *  an even count (0 before the first window). */
+    double
+    medianMs() const
+    {
+        if (windows_.empty())
+            return 0.0;
+        std::vector<double> sorted = windows_;
+        std::sort(sorted.begin(), sorted.end());
+        const std::size_t mid = sorted.size() / 2;
+        return sorted.size() % 2 ? sorted[mid]
+                                 : (sorted[mid - 1] + sorted[mid]) / 2.0;
+    }
 
   private:
-    double totalMs_ = 0.0;
-    std::uint64_t windows_ = 0;
+    std::vector<double> windows_;
 };
 
 /** @p slow_ms / @p fast_ms, or 0 when @p fast_ms is not positive. */

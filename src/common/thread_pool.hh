@@ -1,17 +1,17 @@
 /**
  * @file
  * A fixed-size, work-stealing-free thread pool shared across the
- * toolchain. Five layers fan out over it with parallelFor(): the
+ * toolchain. Four layers fan out over it with parallelFor(): the
  * exhaustive strategy's candidate compiles, the portfolio's member
- * compiles, runSweep's cells, GRAPE's segments (each sized by
- * forRequest()), and the statevector's complement-block loop.
+ * compiles, runSweep's cells and GRAPE's segments (each sized by
+ * forRequest()).
  *
  * Design: one mutex-protected FIFO task queue, N-1 detachable worker
  * threads plus the calling thread (which always participates in
  * parallelFor), and first-exception propagation back to the caller.
  * There is deliberately no work stealing: tasks are coarse (whole
- * candidate compiles, whole block ranges), so a single queue keeps the
- * implementation small and the scheduling deterministic enough to
+ * candidate compiles, whole GRAPE segments), so a single queue keeps
+ * the implementation small and the scheduling deterministic enough to
  * reason about.
  *
  * Thread-safety: submit() and parallelFor() may be called from any

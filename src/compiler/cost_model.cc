@@ -19,21 +19,6 @@ CostModel::CostModel(const ExpandedGraph &xg, const GateLibrary &lib,
               xg.topology().name(), "' has ", xg.topology().numUnits());
 }
 
-namespace {
-
-/** Every unit's occupancy signature, read once per distance field. */
-std::vector<std::uint8_t>
-signatures(const Layout &layout)
-{
-    std::vector<std::uint8_t> sig(static_cast<std::size_t>(
-        layout.numUnits()));
-    for (UnitId u = 0; u < layout.numUnits(); ++u)
-        sig[u] = layout.unitSignature(u);
-    return sig;
-}
-
-} // namespace
-
 double
 CostModel::decay(UnitId u, double duration, bool encoded) const
 {
@@ -126,7 +111,7 @@ CostModel::cxCost(SlotId ctl, SlotId tgt, const Layout &layout) const
 ShortestPaths
 CostModel::mappingDistances(SlotId source, const Layout &layout) const
 {
-    const auto sig = signatures(layout);
+    const auto &sig = layout.signatures();
     return dijkstra(xg_->graph(), source, [&](int a, int b, double) {
         return swapPrice(a, b, sig[slotUnit(a)] == 3,
                          sig[slotUnit(b)] == 3);
@@ -136,7 +121,7 @@ CostModel::mappingDistances(SlotId source, const Layout &layout) const
 ShortestPaths
 CostModel::routingDistances(SlotId source, const Layout &layout) const
 {
-    const auto sig = signatures(layout);
+    const auto &sig = layout.signatures();
     return dijkstra(xg_->graph(), source, [&](int from, int into, double) {
         return hopPrice(from, into, sig[slotUnit(from)],
                         sig[slotUnit(into)]);
@@ -152,50 +137,33 @@ CostModel::swap4Cost(UnitId u, UnitId v, const Layout &layout) const
 ShortestPaths
 CostModel::unitDistances(UnitId source, const Layout &layout) const
 {
-    const auto sig = signatures(layout);
+    const auto &sig = layout.signatures();
     return dijkstra(xg_->topology().graph(), source,
                     [&](int u, int v, double) {
                         return swap4Price(u, v, sig[u] == 3, sig[v] == 3);
                     });
 }
 
-void
-DistanceFieldCache::stamp(Entry &e, const Layout &layout)
-{
-    e.layoutId = layout.instanceId();
-    e.version = layout.costVersion();
-    const int nu = layout.numUnits();
-    e.snap.resize(static_cast<std::size_t>(nu));
-    for (UnitId u = 0; u < nu; ++u)
-        e.snap[u] = layout.unitSignature(u);
-}
+namespace {
 
+/** True iff @p a and @p b agree on every bit a family reads: all of
+ *  them for routing fields, the encoded bit for the others. */
 bool
-DistanceFieldCache::entryStillValid(const Entry &e, const Layout &layout,
-                                    Relevance rel) const
+sameReadBits(const std::vector<std::uint8_t> &a,
+             const std::vector<std::uint8_t> &b, bool encoded_only)
 {
-    const int nu = layout.numUnits();
-    if (static_cast<int>(e.snap.size()) != nu)
+    if (!encoded_only)
+        return a == b; // one memcmp
+    if (a.size() != b.size())
         return false;
-    // Same instance: units whose epoch has not moved past the stamp
-    // still carry the snapshotted state and can be skipped. A
-    // different instance has an incomparable epoch clock, so every
-    // unit is checked.
-    const bool same_layout = e.layoutId == layout.instanceId();
-    for (UnitId u = 0; u < nu; ++u) {
-        if (same_layout && layout.unitEpoch(u) <= e.version)
-            continue;
-        const std::uint8_t cur = layout.unitSignature(u);
-        if (rel == Relevance::Occupancy) {
-            if (cur != e.snap[u])
-                return false;
-        } else {
-            if ((cur == 3) != (e.snap[u] == 3))
-                return false;
-        }
+    for (std::size_t u = 0; u < a.size(); ++u) {
+        if ((a[u] == 3) != (b[u] == 3))
+            return false;
     }
     return true;
 }
+
+} // namespace
 
 template <typename Compute>
 const ShortestPaths &
@@ -204,23 +172,14 @@ DistanceFieldCache::lookup(std::unordered_map<int, Entry> &entries,
                            const Compute &compute)
 {
     Entry &e = entries[source];
-    if (!e.field.dist.empty()) {
-        if (e.layoutId == layout.instanceId() &&
-            e.version == layout.costVersion()) {
-            ++hits_;
-            return e.field;
-        }
-        if (entryStillValid(e, layout, rel)) {
-            // No depended-on bit changed: adopt the new stamp so the
-            // next lookup takes the O(1) path.
-            stamp(e, layout);
-            ++hits_;
-            ++revalidations_;
-            return e.field;
-        }
+    const std::vector<std::uint8_t> &sig = layout.signatures();
+    if (!e.field.dist.empty() &&
+        sameReadBits(e.sig, sig, rel == Relevance::Encoding)) {
+        ++hits_;
+        return e.field;
     }
     e.field = compute(source, layout);
-    stamp(e, layout);
+    e.sig = sig;
     ++misses_;
     return e.field;
 }

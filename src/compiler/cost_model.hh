@@ -103,7 +103,7 @@ class CostModel
     /**
      * gateSuccess given each unit's encoded bit (@p b may be
      * kInvalid). Pure: it reads no layout, so a distance field reads
-     * every unit's signature once and prices each relaxation through
+     * the layout's signature array and prices each relaxation through
      * this, and the public costs wrap it too -- a field's edge is
      * bit-identical to the public cost of that edge.
      */
@@ -128,37 +128,30 @@ class CostModel
 };
 
 /**
- * Memoized Dijkstra distance fields with partial invalidation.
+ * Memoized Dijkstra distance fields, one per (family, source).
  *
- * Every mapping/routing edge cost is a pure function of per-unit
- * occupancy signatures (Layout::unitSignature): routing costs read the
+ * Every mapping/routing edge cost is a pure function of the per-unit
+ * occupancy signatures (Layout::signatures()): routing costs read the
  * full signature (which slot of a unit is occupied gates traversal),
  * while mapping and unit-level SWAP4 costs read only the encoded bit
- * (signature == 3). Each cached field is stamped with the layout's
- * (instanceId, costVersion) and a snapshot of all unit signatures.
+ * (signature == 3). Each cached field keeps the signature array it
+ * was computed at, and one rule decides every lookup: the field is
+ * served iff the bits its family reads equal those in the kept array
+ * -- one memcmp for routing fields, one byte loop for the others --
+ * and recomputed (a miss) otherwise.
  *
- * Lookup is a three-tier check:
- *  1. identical (id, version) stamp -- O(1) hit (the common case
- *     inside routing, where occupied<->occupied SWAPs never bump the
- *     version);
- *  2. stamp moved -- revalidate by scanning units, skipping any whose
- *     Layout::unitEpoch() has not advanced past the stamp (the
- *     per-node dirty epoch) and comparing only the signature bits the
- *     field's family depends on for the rest. A placement that does
- *     not flip a unit's encoded bit therefore leaves every mapping
- *     field valid -- the case that made whole-cache version keying
- *     thrash inside mapCircuit and progressive pairing;
- *  3. a depended-on bit actually changed -- recompute (a miss).
- *
- * Because revalidation compares semantic signatures, one cache can be
- * shared across distinct Layout instances (progressive pairing remaps
- * from scratch each round; the exhaustive strategy compiles hundreds
- * of candidate layouts) and still never serves a stale field.
+ * The rule reads signature bytes only, never which Layout they came
+ * from, so a placement that does not flip a unit's encoded bit leaves
+ * every mapping field valid, routing's occupied <-> occupied SWAPs
+ * leave every field valid, and one cache can be shared across
+ * distinct Layout values (progressive pairing remaps from scratch each
+ * round; the exhaustive strategy compiles hundreds of candidate
+ * layouts) without ever serving a stale field.
  *
  * The cache must not outlive mutations of the underlying GateLibrary's
  * durations/fidelities or of the calibration (sensitivity sweeps,
  * calibration installs): those change edge costs without changing any
- * occupancy, so no stamp would notice. Scope one cache per set of
+ * signature, so the rule would not notice. Scope one cache per set of
  * pricing inputs, as CompileContext does. The service pools contexts
  * by the fingerprint of their topology, library and config, so a
  * calibration install reaches compiles as a different context, never
@@ -180,13 +173,10 @@ class DistanceFieldCache
     const ShortestPaths &unit(UnitId source, const Layout &layout);
 
     /** @name Effectiveness counters (reported by bench_hotpaths and
-     *  asserted by the invalidation stress tests). A lookup is exactly
-     *  one of: hit (valid stamp), revalidation (stamp moved but no
-     *  depended-on signature bit changed; also counted as a hit), or
-     *  miss (recompute). @{ */
+     *  asserted by the invalidation tests). A lookup is exactly one
+     *  of: hit (served from the cache) or miss (recompute). @{ */
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
-    std::uint64_t revalidations() const { return revalidations_; }
     /** @} */
 
   private:
@@ -199,10 +189,8 @@ class DistanceFieldCache
 
     struct Entry
     {
-        std::uint64_t layoutId = 0;
-        std::uint64_t version = 0;
-        /** Per-unit occupancy signature at the stamp. */
-        std::vector<std::uint8_t> snap;
+        /** Layout::signatures() when the field was computed. */
+        std::vector<std::uint8_t> sig;
         ShortestPaths field;
     };
 
@@ -211,17 +199,12 @@ class DistanceFieldCache
                                 int source, const Layout &layout,
                                 Relevance rel, const Compute &compute);
 
-    bool entryStillValid(const Entry &e, const Layout &layout,
-                         Relevance rel) const;
-    static void stamp(Entry &e, const Layout &layout);
-
     const CostModel *cost_;
     std::unordered_map<int, Entry> routing_;
     std::unordered_map<int, Entry> mapping_;
     std::unordered_map<int, Entry> unit_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    std::uint64_t revalidations_ = 0;
 };
 
 } // namespace qompress

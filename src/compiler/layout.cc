@@ -1,53 +1,15 @@
 #include "compiler/layout.hh"
 
-#include <atomic>
-
 #include "common/error.hh"
 
 namespace qompress {
 
-namespace {
-
-std::uint64_t
-nextLayoutId()
-{
-    static std::atomic<std::uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-} // namespace
-
-Layout::Layout() : id_(nextLayoutId()) {}
-
 Layout::Layout(int num_qubits, int num_units)
-    : qubitToSlot_(num_qubits, kInvalid),
-      slotToQubit_(2 * num_units, kInvalid),
-      unitEpoch_(num_units, 0),
-      id_(nextLayoutId())
 {
     QFATAL_IF(num_qubits < 0 || num_units < 0, "negative layout size");
-}
-
-Layout::Layout(const Layout &other)
-    : qubitToSlot_(other.qubitToSlot_),
-      slotToQubit_(other.slotToQubit_),
-      unitEpoch_(other.unitEpoch_),
-      costVersion_(other.costVersion_),
-      id_(nextLayoutId())
-{
-}
-
-Layout &
-Layout::operator=(const Layout &other)
-{
-    if (this != &other) {
-        qubitToSlot_ = other.qubitToSlot_;
-        slotToQubit_ = other.slotToQubit_;
-        unitEpoch_ = other.unitEpoch_;
-        costVersion_ = other.costVersion_;
-        id_ = nextLayoutId();
-    }
-    return *this;
+    qubitToSlot_.assign(num_qubits, kInvalid);
+    slotToQubit_.assign(2 * static_cast<std::size_t>(num_units), kInvalid);
+    unitSig_.assign(num_units, 0);
 }
 
 SlotId
@@ -75,27 +37,17 @@ Layout::numMapped() const
     return count;
 }
 
-std::uint64_t
-Layout::unitEpoch(UnitId u) const
-{
-    QPANIC_IF(u < 0 || u >= numUnits(), "unitEpoch: bad unit ", u);
-    return unitEpoch_[u];
-}
-
 std::uint8_t
 Layout::unitSignature(UnitId u) const
 {
     QPANIC_IF(u < 0 || u >= numUnits(), "unitSignature: bad unit ", u);
-    return static_cast<std::uint8_t>(
-        (slotToQubit_[makeSlot(u, 0)] != kInvalid ? 1 : 0) |
-        (slotToQubit_[makeSlot(u, 1)] != kInvalid ? 2 : 0));
+    return unitSig_[u];
 }
 
 void
-Layout::noteOccupancyChange(SlotId slot)
+Layout::flipOccupancy(SlotId slot)
 {
-    ++costVersion_;
-    unitEpoch_[slotUnit(slot)] = costVersion_;
+    unitSig_[slotUnit(slot)] ^= static_cast<std::uint8_t>(1u << slotPos(slot));
 }
 
 void
@@ -105,7 +57,7 @@ Layout::place(QubitId q, SlotId slot)
     QPANIC_IF(qubitAt(slot) != kInvalid, "place: slot ", slot, " occupied");
     qubitToSlot_[q] = slot;
     slotToQubit_[slot] = q;
-    noteOccupancyChange(slot);
+    flipOccupancy(slot);
 }
 
 void
@@ -115,7 +67,7 @@ Layout::remove(QubitId q)
     QPANIC_IF(s == kInvalid, "remove: qubit ", q, " not mapped");
     qubitToSlot_[q] = kInvalid;
     slotToQubit_[s] = kInvalid;
-    noteOccupancyChange(s);
+    flipOccupancy(s);
 }
 
 void
@@ -131,36 +83,28 @@ Layout::swapSlots(SlotId a, SlotId b)
         qubitToSlot_[qa] = b;
     if (qb != kInvalid)
         qubitToSlot_[qb] = a;
-    // Occupancy (hence every encoding state and edge cost) changes
-    // only when exactly one side was occupied. Both endpoint units
-    // mutate under one version bump.
+    // Occupancy (hence every signature) changes only when exactly one
+    // side was occupied: then both slots change hands. The occupied
+    // <-> occupied exchanges routing performs leave it intact.
     if ((qa == kInvalid) != (qb == kInvalid)) {
-        ++costVersion_;
-        unitEpoch_[slotUnit(a)] = costVersion_;
-        unitEpoch_[slotUnit(b)] = costVersion_;
+        flipOccupancy(a);
+        flipOccupancy(b);
     }
-}
-
-bool
-Layout::unitEncoded(UnitId u) const
-{
-    return unitOccupancy(u) == 2;
 }
 
 int
 Layout::unitOccupancy(UnitId u) const
 {
-    QPANIC_IF(u < 0 || u >= numUnits(), "unitOccupancy: bad unit ", u);
-    return (qubitAt(makeSlot(u, 0)) != kInvalid ? 1 : 0) +
-           (qubitAt(makeSlot(u, 1)) != kInvalid ? 1 : 0);
+    const std::uint8_t sig = unitSignature(u);
+    return (sig & 1) + (sig >> 1);
 }
 
 int
 Layout::numEncodedUnits() const
 {
     int count = 0;
-    for (UnitId u = 0; u < numUnits(); ++u) {
-        if (unitEncoded(u))
+    for (std::uint8_t sig : unitSig_) {
+        if (sig == 3)
             ++count;
     }
     return count;

@@ -21,31 +21,23 @@ namespace qompress {
  * Routing only ever swaps occupants, so occupancy -- and therefore the
  * encoded state of every unit -- is invariant during routing; ENC/DEC
  * (used by the FQ baseline) are the only operations that change it.
+ *
+ * A Layout is a plain value: copies and moves are memberwise, and a
+ * copy is independent of its original. Edge costs depend on a layout
+ * only through its per-unit occupancy signatures(), so a distance
+ * field cached against one Layout is valid for any other with the
+ * same signature bytes (see DistanceFieldCache).
  */
 class Layout
 {
   public:
-    Layout();
+    Layout() = default;
 
     /** Empty layout over @p num_qubits logical and @p num_units units. */
     Layout(int num_qubits, int num_units);
 
-    /**
-     * Copies get a fresh instance id: DistanceFieldCache stamps cached
-     * fields with (id, costVersion), and two diverging copies share a
-     * version trajectory, so an inherited id would let one copy serve
-     * stale fields computed against the other.
-     */
-    Layout(const Layout &other);
-    Layout &operator=(const Layout &other);
-    Layout(Layout &&) = default;
-    Layout &operator=(Layout &&) = default;
-
     int numQubits() const { return static_cast<int>(qubitToSlot_.size()); }
-    int numUnits() const
-    {
-        return static_cast<int>(slotToQubit_.size()) / 2;
-    }
+    int numUnits() const { return static_cast<int>(unitSig_.size()); }
     int numSlots() const { return static_cast<int>(slotToQubit_.size()); }
 
     /** Slot of logical qubit @p q; kInvalid if unmapped. */
@@ -70,7 +62,7 @@ class Layout
     void swapSlots(SlotId a, SlotId b);
 
     /** True iff both slots of @p u are occupied. */
-    bool unitEncoded(UnitId u) const;
+    bool unitEncoded(UnitId u) const { return unitSignature(u) == 3; }
 
     /** Number of logical qubits on unit @p u (0, 1 or 2). */
     int unitOccupancy(UnitId u) const;
@@ -79,49 +71,31 @@ class Layout
     int numEncodedUnits() const;
 
     /**
-     * Monotonic counter of mutations that can change routing/mapping
-     * edge costs. Costs depend on the layout only through slot
-     * occupancy (and the derived encoded state), so it bumps on
-     * place/remove and on swapSlots between an occupied and an empty
-     * slot -- but NOT on the occupied-occupied exchanges routing
-     * performs, which leave every edge cost intact. DistanceFieldCache
-     * uses it as the fast-path validity check for cached fields.
-     */
-    std::uint64_t costVersion() const { return costVersion_; }
-
-    /**
-     * The costVersion() value at which unit @p u last changed
-     * occupancy (0 if never). Never decreases, and never exceeds
-     * costVersion(). DistanceFieldCache compares it against a field's
-     * stamp to skip units that cannot have perturbed the field --
-     * the per-node dirty epoch behind partial invalidation.
-     */
-    std::uint64_t unitEpoch(UnitId u) const;
-
-    /**
      * Occupancy signature of unit @p u: bit 0 = position-0 slot
      * occupied, bit 1 = position-1 slot occupied (so 3 == encoded).
      * Every mapping/routing edge cost is a pure function of these
-     * signatures; DistanceFieldCache snapshots them per cached field
-     * and revalidates by comparing only the bits a field depends on.
+     * signatures.
      */
     std::uint8_t unitSignature(UnitId u) const;
 
     /**
-     * Identifies this Layout instance for cache stamping; fresh per
-     * construction and per copy (see the copy constructor), preserved
-     * by moves.
+     * Every unit's unitSignature(), indexed by unit, kept current by
+     * place/remove/swapSlots. The cost model's distance fields read
+     * it, and DistanceFieldCache compares it against the array a
+     * field was computed at.
      */
-    std::uint64_t instanceId() const { return id_; }
+    const std::vector<std::uint8_t> &signatures() const
+    {
+        return unitSig_;
+    }
 
   private:
-    void noteOccupancyChange(SlotId slot);
+    /** Record that @p slot changed between empty and occupied. */
+    void flipOccupancy(SlotId slot);
 
     std::vector<SlotId> qubitToSlot_;
     std::vector<QubitId> slotToQubit_;
-    std::vector<std::uint64_t> unitEpoch_;
-    std::uint64_t costVersion_ = 0;
-    std::uint64_t id_ = 0;
+    std::vector<std::uint8_t> unitSig_;
 };
 
 } // namespace qompress

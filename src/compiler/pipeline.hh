@@ -79,8 +79,8 @@ struct CompileResult
  * Before this existed every strategy re-derived its own graph/cost
  * pair and re-ran Dijkstra ad hoc; sharing one context lets fields
  * computed while choosing pairs survive into mapping and routing
- * (partial invalidation keeps them sound across layout mutations and
- * even across distinct Layout instances).
+ * (the cache's signature rule keeps them sound across layout
+ * mutations and across distinct Layout values).
  *
  * Non-copyable: the cost model and cache hold references into the
  * context's own expanded graph.

@@ -190,12 +190,11 @@ encodeLayout(ByteWriter &w, const Layout &l)
 }
 
 /**
- * Rebuild a Layout from (numQubits, numUnits, per-qubit slot). The
- * rebuilt instance has fresh epochs/instance id -- by design those
- * never survive a copy either -- and identical slotOf/qubitAt maps,
- * which is all any consumer of a finished artifact reads. Slots are
- * validated (range + no double occupancy) BEFORE place() so hostile
- * bytes surface as FatalError, never as a precondition panic.
+ * Rebuild a Layout from (numQubits, numUnits, per-qubit slot): the
+ * same slotOf/qubitAt maps, and so the same signatures, as the
+ * encoded one. Slots are validated (range + no double occupancy)
+ * BEFORE place() so hostile bytes surface as FatalError, never as a
+ * precondition panic.
  */
 Layout
 decodeLayout(ByteReader &r)

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.hh"
-#include "common/thread_pool.hh"
 
 namespace qompress {
 
@@ -154,9 +153,6 @@ bumpOdometer(std::size_t &base, std::vector<int> &digit,
     }
 }
 
-std::size_t g_shard_threshold = std::size_t(1) << 18;
-ThreadPool *g_shard_pool = nullptr; // null = ThreadPool::global()
-
 /** The 2^26-amplitude cap bounds a state at 26 dim->=2 units, so
  *  odometer digit/dim/stride sets always fit on the stack. */
 constexpr int kMaxUnits = 32;
@@ -186,8 +182,8 @@ struct Odometer
 
     /** Position at block @p blk (mixed-radix decompose, rightmost
      *  digit least significant — the order bump() advances in) and
-     *  return its base index. Called once per shard; div/mod cost is
-     *  irrelevant. */
+     *  return its base index. Called once per kernel call; div/mod
+     *  cost is irrelevant. */
     std::size_t
     seek(std::size_t blk)
     {
@@ -217,10 +213,7 @@ struct Odometer
 };
 
 // The three gate kernels, each over a complement-block range
-// [lo, hi). Free functions rather than local lambdas so the serial
-// call site stays a direct (inlinable) call with no closure escaping
-// into std::function — that escape measurably deoptimized the hot
-// loops when the kernels were first shared with the sharded path.
+// [lo, hi).
 
 void
 runK2(Cplx *amps, Cplx m00, Cplx m01, Cplx m10, Cplx m11, std::size_t s1,
@@ -301,24 +294,6 @@ runGeneral(Cplx *amps, std::size_t k, const std::vector<std::size_t> &offset,
 } // namespace
 
 void
-MixedRadixState::setShardThreshold(std::size_t amps)
-{
-    g_shard_threshold = amps;
-}
-
-std::size_t
-MixedRadixState::shardThreshold()
-{
-    return g_shard_threshold;
-}
-
-void
-MixedRadixState::setShardPool(ThreadPool *pool)
-{
-    g_shard_pool = pool;
-}
-
-void
 MixedRadixState::applyUnitary(const std::vector<int> &units,
                               const GateMatrix &u)
 {
@@ -358,50 +333,9 @@ MixedRadixState::applyUnitary(const std::vector<int> &units,
     const std::size_t blocks = size() / k;
     Cplx *amps = amps_.data();
 
-    // Sharding decision: every complement block touches a disjoint set
-    // of amplitudes, so block ranges can run on different lanes with
-    // no synchronization; each lane seeks the odometer to its first
-    // block and then runs the identical serial kernel, keeping the
-    // result bit-identical to the single-lane path. Calls already on a
-    // pool worker stay serial (no nested fan-out).
-    int lanes = 1;
-    ThreadPool *pool = nullptr;
-    if (amps_.size() >= g_shard_threshold && !ThreadPool::onWorkerThread()) {
-        pool = g_shard_pool ? g_shard_pool : &ThreadPool::global();
-        lanes = pool->numThreads();
-        if (lanes <= 1 ||
-            blocks < static_cast<std::size_t>(lanes) * 4) {
-            lanes = 1;
-            pool = nullptr;
-        }
-    }
-
-    // One contiguous chunk per lane; chunk c covers
-    // [blocks*c/lanes, blocks*(c+1)/lanes).
-    auto shard = [&](const std::function<void(std::size_t, std::size_t)>
-                         &kernel) {
-        const std::size_t nchunks = static_cast<std::size_t>(lanes);
-        pool->parallelFor(0, nchunks, [&](std::size_t c, int) {
-            const std::size_t lo = blocks * c / nchunks;
-            const std::size_t hi = blocks * (c + 1) / nchunks;
-            if (lo < hi)
-                kernel(lo, hi);
-        });
-    };
-
     if (k == 2) {
-        const Cplx m00 = u[0][0], m01 = u[0][1];
-        const Cplx m10 = u[1][0], m11 = u[1][1];
-        const std::size_t s1 = offset[1];
-        if (!pool) {
-            runK2(amps, m00, m01, m10, m11, s1, 0, blocks, rest_dims,
-                  rest_str);
-        } else {
-            shard([&](std::size_t lo, std::size_t hi) {
-                runK2(amps, m00, m01, m10, m11, s1, lo, hi, rest_dims,
-                      rest_str);
-            });
-        }
+        runK2(amps, u[0][0], u[0][1], u[1][0], u[1][1], offset[1], 0,
+              blocks, rest_dims, rest_str);
         return;
     }
 
@@ -410,14 +344,8 @@ MixedRadixState::applyUnitary(const std::vector<int> &units,
         for (std::size_t r = 0; r < 4; ++r)
             for (std::size_t c = 0; c < 4; ++c)
                 m[4 * r + c] = u[r][c];
-        const std::size_t s1 = offset[1], s2 = offset[2], s3 = offset[3];
-        if (!pool) {
-            runK4(amps, m, s1, s2, s3, 0, blocks, rest_dims, rest_str);
-        } else {
-            shard([&](std::size_t lo, std::size_t hi) {
-                runK4(amps, m, s1, s2, s3, lo, hi, rest_dims, rest_str);
-            });
-        }
+        runK4(amps, m, offset[1], offset[2], offset[3], 0, blocks,
+              rest_dims, rest_str);
         return;
     }
 
@@ -439,16 +367,8 @@ MixedRadixState::applyUnitary(const std::vector<int> &units,
         }
         row_begin[row + 1] = nz_col.size();
     }
-
-    if (!pool) {
-        runGeneral(amps, k, offset, row_begin, nz_col, nz_val, 0, blocks,
-                   rest_dims, rest_str);
-    } else {
-        shard([&](std::size_t lo, std::size_t hi) {
-            runGeneral(amps, k, offset, row_begin, nz_col, nz_val, lo, hi,
-                       rest_dims, rest_str);
-        });
-    }
+    runGeneral(amps, k, offset, row_begin, nz_col, nz_val, 0, blocks,
+               rest_dims, rest_str);
 }
 
 void

@@ -15,8 +15,6 @@
 
 namespace qompress {
 
-class ThreadPool;
-
 using Cplx = std::complex<double>;
 
 /**
@@ -113,15 +111,8 @@ class MixedRadixState
      * untouched subspace is enumerated by incremental stride bumps, so
      * the per-amplitude inner loop performs no division or modulo.
      * Single-qudit gates (k = 2 and k = 4) use unrolled kernels;
-     * larger gates run a sparsity-aware gather/scatter.
-     *
-     * States of at least shardThreshold() amplitudes shard the
-     * complement-block loop across the shard pool (each block touches
-     * a disjoint amplitude set, and every block performs the same
-     * arithmetic in the same order as the serial kernel, so the result
-     * is bit-identical regardless of lane count); smaller states, a
-     * one-lane pool, and calls arriving on a pool worker all take the
-     * serial kernels. Not safe to call concurrently on one state.
+     * larger gates run a sparsity-aware gather/scatter. Runs on the
+     * calling thread; not safe to call concurrently on one state.
      */
     void applyUnitary(const std::vector<int> &units, const GateMatrix &u);
 
@@ -137,18 +128,6 @@ class MixedRadixState
     /** Fidelity |<a|b>|^2 between two same-shape states. */
     static double overlap(const MixedRadixState &a,
                           const MixedRadixState &b);
-
-    /**
-     * Minimum state size (in amplitudes) at which applyUnitary shards
-     * across the pool; default 2^18. Process-wide, not synchronized:
-     * set it during single-threaded setup (tests, main).
-     */
-    static void setShardThreshold(std::size_t amps);
-    static std::size_t shardThreshold();
-
-    /** Pool used for sharding; nullptr (the default) means
-     *  ThreadPool::global(). Same setup-time caveat as the threshold. */
-    static void setShardPool(ThreadPool *pool);
 
   private:
     /** Shared operand validation; returns the target-space dim k. */

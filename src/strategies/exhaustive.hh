@@ -58,7 +58,7 @@ class ExhaustiveStrategy : public CompressionStrategy
     /** choosePairs plus the per-step metric trace. Candidate compiles
      *  fan out over cfg.threads lanes (see CompilerConfig::threads),
      *  one CompileContext per lane, so distance fields computed for
-     *  one candidate layout revalidate for the next instead of being
+     *  one candidate layout serve the next instead of being
      *  recomputed n^2 times; the serial reduction over candidate
      *  scores makes the chosen pairing bit-identical for every lane
      *  count. @p ctx, when given, serves lane 0 and the committed

@@ -65,7 +65,7 @@ class FqRouter
     /** @param cache optional shared unit-level distance cache; SWAP4
      *  chains between two encoded (or two equally occupied) units
      *  leave every unit signature intact, so successive routing
-     *  rounds revalidate instead of re-running Dijkstra. */
+     *  rounds hit the cache instead of re-running Dijkstra. */
     FqRouter(const Topology &topo, const CostModel &cost, Layout &layout,
              CompiledCircuit &out, DistanceFieldCache *cache)
         : topo_(topo), cost_(cost), layout_(layout), out_(out),

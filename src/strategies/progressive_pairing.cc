@@ -31,7 +31,7 @@ ProgressivePairingStrategy::choosePairs(const Circuit &native,
         // candidate from distance changes only -- no rerouting, as the
         // paper prescribes. The shared cache survives the remap:
         // layouts of successive rounds mostly agree on encoded bits,
-        // so signature revalidation turns repeat fields into hits.
+        // which is all a mapping field reads, so repeat fields hit.
         MapperOptions mopts;
         mopts.pairs = pairs;
         Layout layout = mapCircuit(native, im, cost, mopts, cache);

@@ -4,8 +4,9 @@
  * kernels vs. the retained naive reference, allocation-free GRAPE
  * gradients vs. the naive implementation, the shared-series Van Loan
  * exponential vs. the augmented-matrix construction, signature-priced
- * distance fields vs. per-relaxation public pricing, and cached vs.
- * uncached routing distance fields.
+ * distance fields vs. per-relaxation public pricing, the distance
+ * cache's validity rule vs. a model of it, and cached vs. uncached
+ * routing distance fields.
  */
 
 #include <gtest/gtest.h>
@@ -293,30 +294,28 @@ TEST(HotpathGrape, OptimizedGradientMatchesNaive)
             EXPECT_NEAR(grad[k][j], grad_naive[k][j], 1e-10);
 }
 
-TEST(HotpathLayout, CostVersionTracksOccupancyOnly)
+TEST(HotpathLayout, SignaturesTrackOccupancyOnly)
 {
     Layout layout(4, 4);
-    const auto v0 = layout.costVersion();
     layout.place(0, makeSlot(0, 0));
     layout.place(1, makeSlot(1, 0));
-    EXPECT_GT(layout.costVersion(), v0);
+    const std::vector<std::uint8_t> placed = {1, 1, 0, 0};
+    EXPECT_EQ(layout.signatures(), placed);
 
-    // Occupied <-> occupied exchange: costs invariant, no bump.
-    const auto v1 = layout.costVersion();
+    // Occupied <-> occupied exchange: costs invariant, no change.
     layout.swapSlots(makeSlot(0, 0), makeSlot(1, 0));
-    EXPECT_EQ(layout.costVersion(), v1);
+    EXPECT_EQ(layout.signatures(), placed);
 
-    // Empty <-> empty: nothing moves, no bump.
+    // Empty <-> empty: nothing moves.
     layout.swapSlots(makeSlot(2, 0), makeSlot(3, 0));
-    EXPECT_EQ(layout.costVersion(), v1);
+    EXPECT_EQ(layout.signatures(), placed);
 
-    // Occupied <-> empty changes occupancy: bump.
+    // Occupied <-> empty changes occupancy on both units.
     layout.swapSlots(makeSlot(0, 0), makeSlot(2, 0));
-    EXPECT_GT(layout.costVersion(), v1);
+    EXPECT_EQ(layout.signatures(), (std::vector<std::uint8_t>{0, 1, 1, 0}));
 
-    const auto v2 = layout.costVersion();
-    layout.remove(1);
-    EXPECT_GT(layout.costVersion(), v2);
+    layout.remove(0);
+    EXPECT_EQ(layout.signatures(), (std::vector<std::uint8_t>{0, 0, 1, 0}));
 }
 
 TEST(HotpathCache, FieldsMatchDirectComputation)
@@ -375,15 +374,13 @@ TEST(HotpathCache, PartialInvalidationRecomputesExactlyOnDependedChanges)
     EXPECT_EQ(cache.misses(), 1u);
 
     // Placement on an empty unit flips no encoded bit: the mapping
-    // field revalidates instead of recomputing.
+    // field is served, not recomputed, then and on the next query.
     layout.place(3, makeSlot(3, 0));
     cache.mapping(src, layout);
     EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.revalidations(), 1u);
-    // And the follow-up query takes the O(1) stamped path.
+    EXPECT_EQ(cache.hits(), 1u);
     cache.mapping(src, layout);
     EXPECT_EQ(cache.hits(), 2u);
-    EXPECT_EQ(cache.revalidations(), 1u);
 
     // Completing a pair flips unit 1's encoded bit: recompute, and
     // the recomputed field must match a direct computation.
@@ -399,7 +396,7 @@ TEST(HotpathCache, PartialInvalidationRecomputesExactlyOnDependedChanges)
     cache.routing(src, layout);
     EXPECT_EQ(cache.misses(), 3u);
     layout.place(5, makeSlot(5, 0));
-    cache.mapping(src, layout); // encoded bits unchanged: revalidates
+    cache.mapping(src, layout); // encoded bits unchanged: a hit
     EXPECT_EQ(cache.misses(), 3u);
     cache.routing(src, layout); // occupancy changed: recomputes
     EXPECT_EQ(cache.misses(), 4u);
@@ -442,18 +439,17 @@ TEST(HotpathCache, SurvivesDistinctLayoutInstances)
     EXPECT_EQ(cache.misses(), 1u);
 
     // Same encoded bits, different instance (and different placement
-    // history): revalidation hit.
+    // history): a hit.
     Layout b(6, 6);
     b.place(3, makeSlot(0, 0));
     b.place(4, makeSlot(0, 1));
     b.place(5, makeSlot(4, 0)); // occupancy differs; encoding agrees
     cache.mapping(0, b);
     EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.revalidations(), 1u);
+    EXPECT_EQ(cache.hits(), 1u);
 
-    // Same instance id trap: a copy diverging from its original must
-    // not serve the original's stamp. The copy gets a fresh id, so
-    // the changed encoding is detected.
+    // A copy diverging from its original: the changed encoding is in
+    // the copy's own signatures, so it is detected.
     Layout c = b;
     c.remove(4); // unit 0 no longer encoded
     const auto direct = cost.mappingDistances(0, c);
@@ -566,6 +562,148 @@ TEST(HotpathCost, FieldsMatchPerRelaxationPublicPricing)
                     "unit " + what);
             }
         }
+    }
+}
+
+/** The signature bits a field family reads: every bit for routing
+ *  fields, the encoded bit alone for mapping and unit fields. */
+std::vector<std::uint8_t>
+readBits(const Layout &layout, bool encoded_only)
+{
+    std::vector<std::uint8_t> bits(static_cast<std::size_t>(
+        layout.numUnits()));
+    for (UnitId u = 0; u < layout.numUnits(); ++u) {
+        const std::uint8_t sig = layout.unitSignature(u);
+        bits[u] = encoded_only ? (sig == 3) : sig;
+    }
+    return bits;
+}
+
+TEST(HotpathCache, ServesIffReadBitsMatchTheLastMiss)
+{
+    // Three layouts -- two independent, one a copy of the first --
+    // share one cache through random place/remove/swapSlots steps.
+    // After every step a random field of each family is looked up on
+    // a random layout. Each lookup must equal a direct computation,
+    // and must miss iff it is its source's first lookup in that
+    // family or the bits the family reads differ from those at the
+    // source's last miss.
+    enum Family { kRouting, kMapping, kUnit, kFamilies };
+    const char *const names[] = {"routing", "mapping", "unit"};
+    const std::vector<Topology> topos = {
+        Topology::ring(12), Topology::grid(16), Topology::heavyHex65()};
+    const GateLibrary lib;
+    const int kSteps = 2000;
+    const int kSourcesPerFamily = 4;
+    Rng rng(20261019);
+    for (const Topology &topo : topos) {
+        const ExpandedGraph xg(topo);
+        const CostModel cost(xg, lib);
+        DistanceFieldCache cache(cost);
+        const int units = topo.numUnits();
+        const int qubits = units; // at most half of the slots occupied
+
+        auto randomStart = [&] {
+            Layout l(qubits, units);
+            for (QubitId q = 0; q < qubits; ++q) {
+                const SlotId s = rng.nextInt(0, l.numSlots() - 1);
+                if (rng.nextBool() && !l.occupied(s))
+                    l.place(q, s);
+            }
+            return l;
+        };
+        const Layout first = randomStart();
+        std::vector<Layout> layouts = {first, randomStart(), first};
+
+        // Per family: the sources looked up, and each source's read
+        // bits and layout index at its last miss.
+        std::vector<int> sources[kFamilies];
+        std::vector<std::vector<std::uint8_t>> last_bits[kFamilies];
+        std::vector<int> last_layout[kFamilies];
+        for (int f = 0; f < kFamilies; ++f) {
+            for (int s = 0; s < (f == kUnit ? units : xg.numSlots()); ++s)
+                sources[f].push_back(s);
+            rng.shuffle(sources[f]);
+            sources[f].resize(kSourcesPerFamily); // distinct sources
+            last_bits[f].resize(kSourcesPerFamily);
+            last_layout[f].assign(kSourcesPerFamily, -1);
+        }
+        std::uint64_t hits[kFamilies] = {}, misses[kFamilies] = {};
+        std::uint64_t cross_layout_hits = 0;
+
+        for (int step = 0; step < kSteps; ++step) {
+            Layout &l = layouts[rng.nextUint(layouts.size())];
+            const QubitId q = rng.nextInt(0, qubits - 1);
+            const QubitId r = rng.nextInt(0, qubits - 1);
+            switch (rng.nextInt(0, 3)) {
+            case 0: { // place an unmapped qubit on a free slot
+                const SlotId s = rng.nextInt(0, l.numSlots() - 1);
+                if (!l.isMapped(q) && !l.occupied(s))
+                    l.place(q, s);
+                break;
+            }
+            case 1:
+                if (l.isMapped(q))
+                    l.remove(q);
+                break;
+            case 2: // any occupancy combination
+                l.swapSlots(rng.nextInt(0, l.numSlots() - 1),
+                            rng.nextInt(0, l.numSlots() - 1));
+                break;
+            default: // a routing SWAP: two occupied slots
+                if (l.isMapped(q) && l.isMapped(r))
+                    l.swapSlots(l.slotOf(q), l.slotOf(r));
+                break;
+            }
+
+            for (int f = 0; f < kFamilies; ++f) {
+                const int li = static_cast<int>(rng.nextUint(3));
+                const Layout &at = layouts[li];
+                const int i = static_cast<int>(rng.nextUint(
+                    static_cast<std::uint64_t>(kSourcesPerFamily)));
+                const int src = sources[f][i];
+                const std::vector<std::uint8_t> bits =
+                    readBits(at, f != kRouting);
+                const bool want_miss =
+                    last_layout[f][i] < 0 || bits != last_bits[f][i];
+                const std::string what =
+                    topo.name() + " step " + std::to_string(step) + " " +
+                    names[f] + " source " + std::to_string(src) +
+                    " layout " + std::to_string(li);
+
+                const std::uint64_t misses_before = cache.misses();
+                const std::uint64_t hits_before = cache.hits();
+                if (f == kRouting) {
+                    expectSameField(cache.routing(src, at),
+                                    cost.routingDistances(src, at), what);
+                } else if (f == kMapping) {
+                    expectSameField(cache.mapping(src, at),
+                                    cost.mappingDistances(src, at), what);
+                } else {
+                    expectSameField(cache.unit(src, at),
+                                    cost.unitDistances(src, at), what);
+                }
+                ASSERT_EQ(cache.misses() - misses_before, want_miss ? 1u : 0u)
+                    << what;
+                ASSERT_EQ(cache.hits() - hits_before, want_miss ? 0u : 1u)
+                    << what;
+                if (want_miss) {
+                    ++misses[f];
+                    last_bits[f][i] = bits;
+                    last_layout[f][i] = li;
+                } else {
+                    ++hits[f];
+                    cross_layout_hits += last_layout[f][i] != li;
+                }
+            }
+        }
+        // Not vacuous: every family both hit and missed, and fields
+        // computed on one layout were served to another.
+        for (int f = 0; f < kFamilies; ++f) {
+            EXPECT_GT(hits[f], 0u) << topo.name() << " " << names[f];
+            EXPECT_GT(misses[f], 0u) << topo.name() << " " << names[f];
+        }
+        EXPECT_GT(cross_layout_hits, 0u) << topo.name();
     }
 }
 

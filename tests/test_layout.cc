@@ -1,14 +1,14 @@
 /**
  * @file
  * Tests for the Layout bidirectional qubit/slot map, including
- * property tests of the invariants the partial-invalidation distance
- * cache relies on: occupancy bijectivity, costVersion monotonicity,
- * and per-unit epochs that never decrease and never outrun the
- * version.
+ * property tests of the invariants the distance-field cache relies
+ * on: occupancy bijectivity and a per-unit signature array that always
+ * equals the occupancy it summarizes.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hh"
@@ -68,53 +68,56 @@ TEST(Layout, SwapSlotsWithEmpty)
     EXPECT_EQ(l.slotOf(0), makeSlot(1, 0));
 }
 
-TEST(Layout, EpochAndVersionBasics)
+TEST(Layout, SignaturesTrackOccupancy)
 {
     Layout l(4, 3);
-    EXPECT_EQ(l.costVersion(), 0u);
-    for (UnitId u = 0; u < 3; ++u) {
-        EXPECT_EQ(l.unitEpoch(u), 0u);
+    ASSERT_EQ(l.signatures().size(), 3u);
+    for (UnitId u = 0; u < 3; ++u)
         EXPECT_EQ(l.unitSignature(u), 0);
-    }
 
     l.place(0, makeSlot(1, 0));
-    EXPECT_EQ(l.unitEpoch(1), l.costVersion());
-    EXPECT_EQ(l.unitEpoch(0), 0u);
-    EXPECT_EQ(l.unitSignature(1), 1);
+    EXPECT_EQ(l.signatures(), (std::vector<std::uint8_t>{0, 1, 0}));
 
     l.place(1, makeSlot(1, 1));
     EXPECT_EQ(l.unitSignature(1), 3);
 
-    // Occupied <-> occupied exchange: neither version nor epochs move.
+    // Occupied <-> occupied exchange: no signature moves.
     l.place(2, makeSlot(2, 0));
-    const auto v = l.costVersion();
-    const auto e1 = l.unitEpoch(1);
-    const auto e2 = l.unitEpoch(2);
+    const std::vector<std::uint8_t> before = l.signatures();
     l.swapSlots(makeSlot(1, 0), makeSlot(2, 0));
-    EXPECT_EQ(l.costVersion(), v);
-    EXPECT_EQ(l.unitEpoch(1), e1);
-    EXPECT_EQ(l.unitEpoch(2), e2);
+    EXPECT_EQ(l.signatures(), before);
 
     // Occupied <-> empty moves occupancy on BOTH endpoint units.
-    l.swapSlots(makeSlot(2, 0), makeSlot(0, 0));
-    EXPECT_GT(l.costVersion(), v);
-    EXPECT_EQ(l.unitEpoch(2), l.costVersion());
-    EXPECT_EQ(l.unitEpoch(0), l.costVersion());
-    EXPECT_EQ(l.unitEpoch(1), e1);
+    l.swapSlots(makeSlot(2, 0), makeSlot(0, 1));
+    EXPECT_EQ(l.signatures(), (std::vector<std::uint8_t>{2, 3, 0}));
+
+    // Within one unit: the count stays, the occupied position moves.
+    l.swapSlots(makeSlot(0, 1), makeSlot(0, 0));
+    EXPECT_EQ(l.signatures(), (std::vector<std::uint8_t>{1, 3, 0}));
+
+    l.remove(1);
+    EXPECT_EQ(l.signatures(), (std::vector<std::uint8_t>{1, 1, 0}));
 }
 
-TEST(Layout, CopiesGetFreshInstanceIds)
+TEST(Layout, CopiesAreIndependentValues)
 {
     Layout a(2, 2);
-    const Layout b = a;
+    a.place(0, makeSlot(1, 0));
+    Layout b = a;
     Layout c;
     c = a;
-    EXPECT_NE(a.instanceId(), b.instanceId());
-    EXPECT_NE(a.instanceId(), c.instanceId());
-    EXPECT_NE(b.instanceId(), c.instanceId());
-    // State is still copied faithfully.
-    EXPECT_EQ(b.numQubits(), a.numQubits());
-    EXPECT_EQ(b.costVersion(), a.costVersion());
+    EXPECT_EQ(b.signatures(), a.signatures());
+    EXPECT_EQ(c.signatures(), a.signatures());
+    EXPECT_EQ(c.slotOf(0), makeSlot(1, 0));
+
+    // Diverging copies leave the original untouched.
+    b.place(1, makeSlot(1, 1));
+    c.remove(0);
+    EXPECT_EQ(a.signatures(), (std::vector<std::uint8_t>{0, 1}));
+    EXPECT_EQ(b.signatures(), (std::vector<std::uint8_t>{0, 3}));
+    EXPECT_EQ(c.signatures(), (std::vector<std::uint8_t>{0, 0}));
+    EXPECT_EQ(a.slotOf(0), makeSlot(1, 0));
+    EXPECT_FALSE(a.isMapped(1));
 }
 
 /**
@@ -131,8 +134,6 @@ TEST(LayoutProperties, InvariantsUnderRandomMutationSequences)
 
     Layout l(kQubits, kUnits);
     std::vector<SlotId> shadow(kQubits, kInvalid); // qubit -> slot
-    std::uint64_t last_version = 0;
-    std::vector<std::uint64_t> last_epoch(kUnits, 0);
 
     auto check = [&]() {
         // Occupancy bijectivity against the shadow model.
@@ -151,17 +152,18 @@ TEST(LayoutProperties, InvariantsUnderRandomMutationSequences)
                 ASSERT_EQ(shadow[q], s) << "slot " << s;
             }
         }
-        // Version monotone; epochs monotone and bounded by it.
-        ASSERT_GE(l.costVersion(), last_version);
-        last_version = l.costVersion();
+        // The signature array equals the shadow's occupancy, and the
+        // per-unit accessors agree with it.
+        std::vector<std::uint8_t> want(kUnits, 0);
+        for (QubitId q = 0; q < kQubits; ++q) {
+            if (shadow[q] != kInvalid)
+                want[slotUnit(shadow[q])] |= 1u << slotPos(shadow[q]);
+        }
+        ASSERT_EQ(l.signatures(), want);
         for (UnitId u = 0; u < kUnits; ++u) {
-            ASSERT_GE(l.unitEpoch(u), last_epoch[u]) << "unit " << u;
-            ASSERT_LE(l.unitEpoch(u), l.costVersion()) << "unit " << u;
-            last_epoch[u] = l.unitEpoch(u);
-            // Signature consistent with occupancy accessors.
-            const int occ = l.unitOccupancy(u);
             const std::uint8_t sig = l.unitSignature(u);
-            ASSERT_EQ((sig & 1) + ((sig >> 1) & 1), occ);
+            ASSERT_EQ(sig, want[u]) << "unit " << u;
+            ASSERT_EQ((sig & 1) + ((sig >> 1) & 1), l.unitOccupancy(u));
             ASSERT_EQ(sig == 3, l.unitEncoded(u));
         }
     };
@@ -173,41 +175,25 @@ TEST(LayoutProperties, InvariantsUnderRandomMutationSequences)
             const QubitId q = rng.nextInt(0, kQubits - 1);
             const SlotId s = rng.nextInt(0, l.numSlots() - 1);
             if (shadow[q] == kInvalid && l.qubitAt(s) == kInvalid) {
-                const auto v = l.costVersion();
                 l.place(q, s);
                 shadow[q] = s;
-                ASSERT_EQ(l.costVersion(), v + 1);
-                ASSERT_EQ(l.unitEpoch(slotUnit(s)), l.costVersion());
             }
         } else if (op == 1) { // remove a random mapped qubit
             const QubitId q = rng.nextInt(0, kQubits - 1);
             if (shadow[q] != kInvalid) {
-                const auto v = l.costVersion();
-                const UnitId u = slotUnit(shadow[q]);
                 l.remove(q);
                 shadow[q] = kInvalid;
-                ASSERT_EQ(l.costVersion(), v + 1);
-                ASSERT_EQ(l.unitEpoch(u), l.costVersion());
             }
         } else { // swap two random slots (any occupancy combination)
             const SlotId a = rng.nextInt(0, l.numSlots() - 1);
             const SlotId b = rng.nextInt(0, l.numSlots() - 1);
             const QubitId qa = l.qubitAt(a);
             const QubitId qb = l.qubitAt(b);
-            const auto v = l.costVersion();
             l.swapSlots(a, b);
             if (qa != kInvalid)
                 shadow[qa] = b;
             if (qb != kInvalid)
                 shadow[qb] = a;
-            // Version bumps exactly when occupancy changed hands.
-            if ((qa == kInvalid) != (qb == kInvalid)) {
-                ASSERT_EQ(l.costVersion(), v + 1);
-                ASSERT_EQ(l.unitEpoch(slotUnit(a)), l.costVersion());
-                ASSERT_EQ(l.unitEpoch(slotUnit(b)), l.costVersion());
-            } else {
-                ASSERT_EQ(l.costVersion(), v);
-            }
         }
         check();
     }

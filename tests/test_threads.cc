@@ -8,9 +8,6 @@
  *  - Exhaustive strategy: 1, 2, and 8 lanes produce bit-identical
  *    compiled circuits to the serial search on ring, grid, and
  *    heavy-hex topologies over seeded circuits.
- *  - Sharded Statevector::applyUnitary: amplitudes match the serial
- *    kernels exactly (==, not a tolerance) both above and below the
- *    sharding threshold, and match the naive reference to 1e-12.
  *  - Eval sweep: runSweep records are bit-identical at 1/2/8 lanes,
  *    on default grid devices and on heavyHex65.
  *  - Portfolio: the full compiled result at 1/2/8 lanes equals the
@@ -27,11 +24,11 @@
 #include <stdexcept>
 #include <vector>
 
-#include "bench_util.hh"
 #include "circuits/bv.hh"
 #include "circuits/graphs.hh"
 #include "circuits/qaoa.hh"
 #include "common/error.hh"
+#include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "eval/sweep.hh"
 #include "pulse/grape.hh"
@@ -457,86 +454,6 @@ TEST(GrapeDeterminism, RunConvergesIdenticallyPooled)
     ASSERT_EQ(serial.controls.size(), pooled.controls.size());
     for (std::size_t k = 0; k < serial.controls.size(); ++k)
         EXPECT_EQ(serial.controls[k], pooled.controls[k]);
-}
-
-// ------------------------------------------------- sharded statevector
-
-/** RAII restore of the process-wide sharding knobs. */
-struct ShardKnobs
-{
-    std::size_t saved = MixedRadixState::shardThreshold();
-    ~ShardKnobs()
-    {
-        MixedRadixState::setShardThreshold(saved);
-        MixedRadixState::setShardPool(nullptr);
-    }
-};
-
-/** Apply a mixed 1-/2-/3-qudit workload to copies of one random state
- *  with sharding forced on vs off; demand exact amplitude identity. */
-void
-expectShardedMatchesSerial(const std::vector<int> &dims, ThreadPool &pool)
-{
-    Rng rng(2024);
-    MixedRadixState init = bench::randomState(dims, rng);
-
-    auto gates = bench::mixedGateWorkload(dims, rng);
-    // A three-qudit gate exercises the general gather/scatter kernel.
-    const std::size_t k3 =
-        static_cast<std::size_t>(dims[0]) * dims[1] * dims[2];
-    gates.push_back({{0, 1, 2}, bench::randomUnitary(k3, rng)});
-
-    ShardKnobs restore;
-    MixedRadixState::setShardPool(&pool);
-
-    MixedRadixState sharded = init;
-    MixedRadixState::setShardThreshold(1); // every call shards
-    for (const auto &g : gates)
-        sharded.applyUnitary(g.units, g.u);
-
-    MixedRadixState serial = init;
-    MixedRadixState::setShardThreshold(~std::size_t(0)); // never shards
-    for (const auto &g : gates)
-        serial.applyUnitary(g.units, g.u);
-
-    MixedRadixState naive = init;
-    for (const auto &g : gates)
-        naive.applyUnitaryNaive(g.units, g.u);
-
-    ASSERT_EQ(sharded.size(), serial.size());
-    for (std::size_t i = 0; i < sharded.size(); ++i) {
-        EXPECT_EQ(sharded.amp(i).real(), serial.amp(i).real()) << i;
-        EXPECT_EQ(sharded.amp(i).imag(), serial.amp(i).imag()) << i;
-    }
-    EXPECT_LE(bench::maxAmpDiff(sharded, naive), 1e-12);
-}
-
-TEST(ShardedStatevector, MatchesSerialAboveThreshold)
-{
-    ThreadPool pool(4);
-    // 4*2*4*2*4*2*2*2 = 2048 amplitudes: comfortably above the forced
-    // threshold of 1, sharded on every gate.
-    expectShardedMatchesSerial({4, 2, 4, 2, 4, 2, 2, 2}, pool);
-}
-
-TEST(ShardedStatevector, MatchesSerialOnSmallStates)
-{
-    ThreadPool pool(8);
-    // 4*2*2 = 16 amplitudes: block counts fall below lanes*4 for the
-    // larger gates, exercising the serial fallback inside the
-    // threshold-on path.
-    expectShardedMatchesSerial({4, 2, 2}, pool);
-}
-
-TEST(ShardedStatevector, DefaultThresholdKeepsTypicalStatesSerial)
-{
-    // The default threshold (2^18) must leave the 10-qudit workloads
-    // used across the test suite on the serial kernels.
-    EXPECT_EQ(MixedRadixState::shardThreshold(), std::size_t(1) << 18);
-    std::size_t amps = 1;
-    for (int d : {4, 2, 4, 2, 4, 2, 4, 2, 4, 2})
-        amps *= static_cast<std::size_t>(d);
-    EXPECT_LT(amps, MixedRadixState::shardThreshold());
 }
 
 } // namespace
