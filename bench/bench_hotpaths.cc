@@ -386,7 +386,7 @@ benchQaoaHeavyHex(int reps, int rounds, Report &rep, Checks &checks)
  * pool with one CompileContext per lane. The sweep is embarrassingly
  * parallel, so on a machine with >= 4 cores the 4-lane run should
  * approach 4x; pairings must be bit-identical at every lane count
- * (deterministic serial reduction over candidate scores).
+ * (highest score wins, ties to the lowest candidate index).
  */
 void
 benchExhaustive(int qubits, Report &rep, Checks &checks)
@@ -662,23 +662,18 @@ sameCompileResults(const CompileResult &a, const CompileResult &b)
 }
 
 /** One pass of @p reqs through @p service, fanned out over @p pool's
- *  lanes (serially when null) the way runSweep fans out its cells;
- *  artifacts land in request order when @p out is set. */
+ *  lanes the way runSweep fans out its cells; artifacts land in
+ *  request order when @p out is set. */
 void
-serveFromLanes(CompilerService &service, ThreadPool *pool,
+serveFromLanes(CompilerService &service, ThreadPool &pool,
                const std::vector<CompileRequest> &reqs,
                std::vector<CompileArtifact> *out)
 {
-    auto serve = [&](std::size_t i, int) {
+    pool.parallelFor(0, reqs.size(), [&](std::size_t i, int) {
         CompileArtifact a = service.compileSync(reqs[i]);
         if (out)
             (*out)[i] = std::move(a);
-    };
-    if (pool)
-        pool->parallelFor(0, reqs.size(), serve);
-    else
-        for (std::size_t i = 0; i < reqs.size(); ++i)
-            serve(i, 0);
+    });
 }
 
 /**
@@ -720,7 +715,7 @@ benchService(int reps, int sizes_hi, Report &rep, Checks &checks)
     for (const int lanes : kLanes) {
         CompilerService service;
         std::optional<ThreadPool> own_pool;
-        ThreadPool *pool = ThreadPool::forRequest(lanes, own_pool);
+        ThreadPool &pool = ThreadPool::forRequest(lanes, own_pool);
 
         // Discarded warm-up: grows the allocator and populates the
         // memo once.
@@ -820,7 +815,7 @@ benchTemplate(int reps, int rounds, int num_angles, Report &rep,
     for (const int lanes : kLanes) {
         CompilerService service;
         std::optional<ThreadPool> own_pool;
-        ThreadPool *pool = ThreadPool::forRequest(lanes, own_pool);
+        ThreadPool &pool = ThreadPool::forRequest(lanes, own_pool);
 
         // Discarded warm-up: grows the allocator on the compile-heavy
         // path.
@@ -924,9 +919,10 @@ benchPersist(int reps, int sizes_hi, Report &rep, Checks &checks)
 
     // Serial passes: the tiers differ in decode-vs-compile cost,
     // which lane dispatch overhead would mask at this scale.
+    ThreadPool serial(1);
     auto pass = [&](CompilerService &service,
                     std::vector<CompileArtifact> *out) {
-        serveFromLanes(service, nullptr, reqs, out);
+        serveFromLanes(service, serial, reqs, out);
     };
 
     // Cold baseline: no store, memo dropped before every timed pass.

@@ -12,12 +12,21 @@ namespace {
 
 /** Set while a thread is draining parallelFor work — for workers the
  *  whole loop, for the calling thread its lane-0 drain. Read by
- *  onWorkerThread() so nested parallelFor calls degrade to inline
+ *  parallelFor and forRequest so nested fan-out degrades to inline
  *  execution: from a worker to avoid deadlocking its own pool, from
  *  the caller so a nested sweep can never run concurrently with the
  *  outer sweep's lanes (which would break per-lane scratch
  *  exclusivity). */
 thread_local bool t_on_worker = false;
+
+/** The process-wide pool forRequest hands out for default-sized
+ *  requests (thread-safe construction, never destroyed before exit). */
+ThreadPool &
+globalPool()
+{
+    static ThreadPool pool(ThreadPool::defaultThreadCount());
+    return pool;
+}
 
 } // namespace
 
@@ -40,15 +49,18 @@ ThreadPool::~ThreadPool()
         t.join();
 }
 
-void
-ThreadPool::enqueue(std::function<void()> task)
+std::future<void>
+ThreadPool::enqueue(std::function<void()> fn)
 {
+    std::packaged_task<void()> task(std::move(fn));
+    std::future<void> done = task.get_future();
     {
         std::lock_guard<std::mutex> lock(mu_);
-        QPANIC_IF(stopping_, "ThreadPool: submit after shutdown");
+        QPANIC_IF(stopping_, "ThreadPool: enqueue after shutdown");
         queue_.push(std::move(task));
     }
     cv_.notify_one();
+    return done;
 }
 
 void
@@ -56,7 +68,7 @@ ThreadPool::workerLoop()
 {
     t_on_worker = true;
     for (;;) {
-        std::function<void()> task;
+        std::packaged_task<void()> task;
         {
             std::unique_lock<std::mutex> lock(mu_);
             cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
@@ -65,7 +77,7 @@ ThreadPool::workerLoop()
             task = std::move(queue_.front());
             queue_.pop();
         }
-        task(); // packaged_task-style wrappers capture their own errors
+        task(); // a packaged_task captures its own errors
     }
 }
 
@@ -123,24 +135,24 @@ ThreadPool::parallelFor(
     // One drainer per worker lane; the caller drains as lane 0 with
     // the worker flag raised so its fn bodies count as "on a worker"
     // (nested sweeps inline). The futures double as the join barrier.
-    // If submit() itself throws (task allocation failure), flag
+    // If enqueue() itself throws (task allocation failure), flag
     // first_error so already-running drainers stop grabbing work, then
     // fall through to the join below — fn and the caller's scratch
     // must outlive every enqueued drainer before we rethrow.
     const int lanes = threads_;
     std::vector<std::future<void>> joins;
     joins.reserve(static_cast<std::size_t>(lanes - 1));
-    std::exception_ptr submit_error;
+    std::exception_ptr enqueue_error;
     try {
         for (int lane = 1; lane < lanes; ++lane)
-            joins.push_back(submit([drain, lane] { drain(lane); }));
+            joins.push_back(enqueue([drain, lane] { drain(lane); }));
     } catch (...) {
-        submit_error = std::current_exception();
+        enqueue_error = std::current_exception();
         std::lock_guard<std::mutex> lock(shared->err_mu);
         if (!shared->first_error)
-            shared->first_error = submit_error;
+            shared->first_error = enqueue_error;
     }
-    if (!submit_error) {
+    if (!enqueue_error) {
         t_on_worker = true;
         drain(0); // never throws; errors land in first_error
         t_on_worker = false;
@@ -148,17 +160,10 @@ ThreadPool::parallelFor(
     for (auto &f : joins)
         f.get();
 
-    if (submit_error)
-        std::rethrow_exception(submit_error);
+    if (enqueue_error)
+        std::rethrow_exception(enqueue_error);
     if (shared->first_error)
         std::rethrow_exception(shared->first_error);
-}
-
-ThreadPool &
-ThreadPool::global()
-{
-    static ThreadPool pool(defaultThreadCount());
-    return pool;
 }
 
 int
@@ -177,27 +182,19 @@ ThreadPool::defaultThreadCount()
     return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-bool
-ThreadPool::onWorkerThread()
-{
-    return t_on_worker;
-}
-
-ThreadPool *
+ThreadPool &
 ThreadPool::forRequest(int threads, std::optional<ThreadPool> &own)
 {
-    const int want = threads > 0 ? threads : defaultThreadCount();
-    if (want <= 1 || onWorkerThread()) {
+    int want = threads > 0 ? threads : defaultThreadCount();
+    if (t_on_worker)
+        want = 1; // nested fan-out runs inline on one lane
+    if (want > 1 && want == defaultThreadCount()) {
         own.reset(); // don't keep a stale private pool's threads alive
-        return nullptr;
-    }
-    if (want == defaultThreadCount()) {
-        own.reset();
-        return &global();
+        return globalPool();
     }
     if (!own || own->numThreads() != want)
         own.emplace(want);
-    return &*own;
+    return *own;
 }
 
 } // namespace qompress

@@ -12,11 +12,11 @@
  * There is deliberately no work stealing: tasks are coarse (whole
  * candidate compiles, whole GRAPE segments), so a single queue keeps
  * the implementation small and the scheduling deterministic enough to
- * reason about.
+ * reason about. parallelFor() is the only way to run work on a pool.
  *
- * Thread-safety: submit() and parallelFor() may be called from any
- * thread that is not itself a pool worker; parallelFor() called *from*
- * a worker runs the range inline (no nested fan-out, no deadlock).
+ * Thread-safety: parallelFor() may be called from any thread;
+ * called *from* inside another parallelFor lane it runs the range
+ * inline (no nested fan-out, no deadlock).
  */
 
 #ifndef QOMPRESS_COMMON_THREAD_POOL_HH
@@ -42,11 +42,11 @@ class ThreadPool
      *
      * Lane 0 is the calling thread (it participates in parallelFor),
      * so only threads-1 OS threads are spawned; threads <= 1 spawns
-     * none and every operation runs inline.
+     * none and parallelFor runs inline.
      */
     explicit ThreadPool(int threads);
 
-    /** Joins all workers; pending submitted tasks are still drained. */
+    /** Joins all workers. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -54,26 +54,6 @@ class ThreadPool
 
     /** Total parallelism (worker threads + the participating caller). */
     int numThreads() const { return threads_; }
-
-    /**
-     * Enqueue @p fn for execution on a worker; the returned future
-     * delivers its result or rethrows its exception. With no workers
-     * (numThreads() <= 1) the task runs inline before returning.
-     */
-    template <typename F>
-    auto submit(F &&fn) -> std::future<decltype(fn())>
-    {
-        using R = decltype(fn());
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
-        std::future<R> fut = task->get_future();
-        if (workers_.empty()) {
-            (*task)();
-            return fut;
-        }
-        enqueue([task] { (*task)(); });
-        return fut;
-    }
 
     /**
      * Run fn(i, lane) for every i in [begin, end), spread across the
@@ -90,56 +70,50 @@ class ThreadPool
      * interleaving across lanes is unspecified; the function must not
      * rely on cross-index ordering. The first exception thrown by any
      * invocation is rethrown on the calling thread after all lanes
-     * drain. Calls from inside a pool worker run the range inline on
-     * lane 0 (nested parallelism is not expanded).
+     * drain. Calls from inside another parallelFor lane run the range
+     * inline on lane 0 (nested parallelism is not expanded).
      */
     void parallelFor(std::size_t begin, std::size_t end,
                      const std::function<void(std::size_t i, int lane)> &fn);
 
-    /** The process-wide pool, sized by defaultThreadCount() on first
-     *  use (thread-safe construction, never destroyed before exit). */
-    static ThreadPool &global();
-
     /**
-     * Lanes the global pool is built with: the QOMPRESS_THREADS
+     * Lanes the process-wide pool is built with: the QOMPRESS_THREADS
      * environment variable when set to a positive integer, else
      * std::thread::hardware_concurrency() (minimum 1).
      */
     static int defaultThreadCount();
 
-    /** True when the current thread is a worker of *any* ThreadPool
-     *  (used to keep nested parallelFor calls inline). */
-    static bool onWorkerThread();
-
     /**
      * Resolve a lane-count request (the CompilerConfig::threads /
      * GrapeOptions::threads convention: 0 = process default, 1 =
-     * serial, N = exactly N lanes) to a pool, or nullptr when the
-     * caller should run serially.
+     * serial, N = exactly N lanes) to the pool the caller fans out
+     * over.
      *
-     * Returns nullptr when the request resolves to one lane or the
-     * calling thread is already a pool worker (nested fan-out
-     * degrades to inline execution); the global pool when the request
-     * matches defaultThreadCount() (never force-sizes the global pool
-     * to a mismatching request); otherwise a private pool constructed
-     * into @p own. A still-live pool already in @p own is reused when
-     * its lane count matches, so callers holding the optional across
-     * hot iterations (e.g. GrapeWorkspace) spawn threads once; on any
-     * other outcome @p own is reset so a stale private pool's idle
-     * threads are not kept alive.
+     * Returns a one-lane pool in @p own, which starts no thread, when
+     * the request resolves to one lane or the calling thread is
+     * already inside a parallelFor lane (nested fan-out degrades to
+     * inline execution); the process-wide pool, built once with
+     * defaultThreadCount() lanes, when a multi-lane request matches
+     * that count; otherwise a private pool constructed into @p own.
+     * A still-live pool already in @p own is reused when its lane
+     * count matches, so callers holding the optional across hot
+     * iterations (e.g. GrapeWorkspace) build it once; when the
+     * process-wide pool is returned, @p own is reset so a stale
+     * private pool's idle threads are not kept alive.
      */
-    static ThreadPool *forRequest(int threads,
+    static ThreadPool &forRequest(int threads,
                                   std::optional<ThreadPool> &own);
 
   private:
-    void enqueue(std::function<void()> task);
+    /** Queue one task for a worker; the future is its join handle. */
+    std::future<void> enqueue(std::function<void()> fn);
     void workerLoop();
 
     int threads_;
     std::vector<std::thread> workers_;
     std::mutex mu_;
     std::condition_variable cv_;
-    std::queue<std::function<void()>> queue_;
+    std::queue<std::packaged_task<void()>> queue_;
     bool stopping_ = false;
 };
 

@@ -95,7 +95,10 @@ runSweep(const SweepSpec &spec)
     // bit-identical at every lane count (and, by the cache invariant,
     // at every cache configuration). Only FatalError means "does not
     // fit"; anything else is parallelFor's first exception.
-    auto compile_cell = [&](std::size_t i, int) {
+    std::optional<ThreadPool> own_pool;
+    ThreadPool &pool = ThreadPool::forRequest(
+        spec.threads >= 0 ? spec.threads : spec.config.threads, own_pool);
+    pool.parallelFor(0, records.size(), [&](std::size_t i, int) {
         const SweepInstance &inst = instances[i / num_strategies];
         SweepRecord &rec = records[i];
         rec.family = *inst.family;
@@ -114,15 +117,7 @@ runSweep(const SweepSpec &spec)
         } catch (const FatalError &) {
             rec.qubits = 0; // did not fit
         }
-    };
-    std::optional<ThreadPool> own_pool;
-    ThreadPool *pool = ThreadPool::forRequest(
-        spec.threads >= 0 ? spec.threads : spec.config.threads, own_pool);
-    if (pool)
-        pool->parallelFor(0, records.size(), compile_cell);
-    else
-        for (std::size_t i = 0; i < records.size(); ++i)
-            compile_cell(i, 0);
+    });
 
     if (spec.serviceStats)
         *spec.serviceStats = service.stats();

@@ -22,12 +22,15 @@
  * decodeCompileResult never throws PanicError, never crashes, and
  * never allocates more than the input buffer justifies.
  *
- * Versioning contract: kArtifactFormatVersion names the record layout.
- * Any change to the payload encoding (field added, reordered, widened)
- * MUST bump it; decoders reject other versions outright rather than
- * guessing, and the artifact store treats a version mismatch as "start
- * cold" (artifacts are caches of deterministic compiles, so dropping
- * them is always safe).
+ * Versioning contract: kArtifactFormatVersion names the record layout
+ * and the compiler that filled it. Any change to the payload encoding
+ * (field added, reordered, widened) MUST bump it, and so must a change
+ * to what a compile emits for an existing key (a record keyed by the
+ * same inputs would otherwise keep serving the old output). Decoders
+ * reject other versions outright rather than guessing, and the
+ * artifact store treats a version mismatch as "start cold" (artifacts
+ * are caches of deterministic compiles, so dropping them is always
+ * safe).
  *
  * ArtifactKey lives here too: the on-disk identity of a record is the
  * same four component content fingerprints + strategy name the
@@ -50,9 +53,11 @@ namespace qompress {
 /** Record magic: "QCR1" as little-endian bytes. */
 constexpr std::uint32_t kArtifactMagic = 0x31524351u;
 
-/** Bump on ANY payload layout change (see the file comment).
- *  v2: Metrics grew readoutEps (device calibration pricing). */
-constexpr std::uint32_t kArtifactFormatVersion = 2;
+/** Bump on ANY payload layout change, or on a change to what a
+ *  compile emits for an existing key (see the file comment).
+ *  v2: Metrics grew readoutEps (device calibration pricing).
+ *  v3: fq schedules and prices with the device calibration. */
+constexpr std::uint32_t kArtifactFormatVersion = 3;
 
 /** Fixed prefix of every record (magic + version + length + CRC). */
 constexpr std::size_t kArtifactHeaderBytes = 20;

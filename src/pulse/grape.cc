@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/error.hh"
 #include "common/rng.hh"
@@ -165,10 +166,9 @@ GrapeOptimizer::objectiveAndGradient(
     // Lane setup: segments are independent in both parallel phases
     // below, so they fan out across opts_.threads lanes with one
     // LaneScratch per lane (never shrunk, so a workspace reused at a
-    // smaller lane count stays warm). Serial runs use lane 0 directly.
-    ThreadPool *pool = ThreadPool::forRequest(opts_.threads, ws.ownPool);
-    const std::size_t nlanes =
-        pool ? static_cast<std::size_t>(pool->numThreads()) : 1;
+    // smaller lane count stays warm). A one-lane pool runs inline.
+    ThreadPool &pool = ThreadPool::forRequest(opts_.threads, ws.ownPool);
+    const std::size_t nlanes = static_cast<std::size_t>(pool.numThreads());
     if (ws.lanes.size() < nlanes)
         ws.lanes.resize(nlanes);
     const bool probing = ws.allocProbe != nullptr;
@@ -216,13 +216,10 @@ GrapeOptimizer::objectiveAndGradient(
             ws.laneAllocs[static_cast<std::size_t>(lane)] +=
                 ws.allocProbe() - before;
     };
-    if (pool) {
-        pool->parallelFor(0, static_cast<std::size_t>(segments_),
-                          segment_exponential);
-    } else {
-        for (int j = 0; j < segments_; ++j)
-            segment_exponential(static_cast<std::size_t>(j), 0);
-    }
+    // std::ref keeps the lambda out of std::function's heap storage,
+    // so a warm one-lane call stays allocation-free.
+    pool.parallelFor(0, static_cast<std::size_t>(segments_),
+                     std::ref(segment_exponential));
 
     // Forward cumulative products A_j = U_j ... U_0.
     ws.fwd[0].copyFrom(ws.props[0]);
@@ -295,13 +292,8 @@ GrapeOptimizer::objectiveAndGradient(
             ws.laneAllocs[static_cast<std::size_t>(lane)] +=
                 ws.allocProbe() - before;
     };
-    if (pool) {
-        pool->parallelFor(0, static_cast<std::size_t>(segments_),
-                          segment_gradient);
-    } else {
-        for (int j = 0; j < segments_; ++j)
-            segment_gradient(static_cast<std::size_t>(j), 0);
-    }
+    pool.parallelFor(0, static_cast<std::size_t>(segments_),
+                     std::ref(segment_gradient));
     return (1.0 - fidelity) + opts_.leakageWeight * leakage;
 }
 

@@ -73,8 +73,8 @@ struct GrapeWorkspace
     std::vector<CMatrix> bgen;    ///< constant generators -i dt Hc_k
     CMatrix mask;                 ///< leakage mask (guard rows of U)
 
-    /** Scratch owned by one parallelFor lane (lane 0 doubles as the
-     *  serial path's scratch): segment Hamiltonian/generator
+    /** Scratch owned by one parallelFor lane (a one-lane pool uses
+     *  lanes[0] only): segment Hamiltonian/generator
      *  accumulators, the A_{j-1}-prefixed partial products, and the
      *  shared-series exponential workspace. */
     struct LaneScratch
@@ -87,9 +87,10 @@ struct GrapeWorkspace
     };
     std::vector<LaneScratch> lanes;
 
-    /** Private pool when GrapeOptions::threads asks for a lane count
-     *  other than the process default; persists across iterations so
-     *  warm gradient steps never spawn threads. */
+    /** The pool forRequest builds when GrapeOptions::threads asks for
+     *  one lane or a lane count other than the process default;
+     *  persists across iterations so warm gradient steps never build
+     *  a pool or spawn threads. */
     std::optional<ThreadPool> ownPool;
 
     /** Lanes (and system dimension) whose scratch has been eagerly
@@ -163,8 +164,8 @@ class GrapeOptimizer
      * out across GrapeOptions::threads pool lanes with per-lane
      * scratch; the cumulative forward/backward products in between
      * stay serial (they are sequential by construction). Results are
-     * bit-identical at every lane count. Calls already running on a
-     * pool worker degrade to serial automatically.
+     * bit-identical at every lane count. Calls already running in a
+     * pool lane run on one lane.
      */
     double objectiveAndGradient(
         const std::vector<std::vector<double>> &controls,

@@ -134,33 +134,14 @@ MixedRadixState::checkTargets(const std::vector<int> &units,
 
 namespace {
 
-/**
- * Odometer over the listed units: bumps @p base by one step of the
- * rightmost digit, carrying with stride subtraction instead of
- * recomputing the base index. @p digit must have one counter per unit.
- */
-inline void
-bumpOdometer(std::size_t &base, std::vector<int> &digit,
-             const std::vector<int> &dims,
-             const std::vector<std::size_t> &strides)
-{
-    for (int t = static_cast<int>(digit.size()) - 1; t >= 0; --t) {
-        base += strides[t];
-        if (++digit[t] < dims[t])
-            return;
-        base -= strides[t] * static_cast<std::size_t>(dims[t]);
-        digit[t] = 0;
-    }
-}
-
 /** The 2^26-amplitude cap bounds a state at 26 dim->=2 units, so
  *  odometer digit/dim/stride sets always fit on the stack. */
 constexpr int kMaxUnits = 32;
 
-/** Raw-pointer odometer state over the complement units: a stack copy
- *  of the dims/strides the range kernels iterate with, so the hot
- *  loops see provably loop-invariant locals instead of vector loads
- *  the optimizer must assume the amplitude stores could alias. */
+/** Odometer over a set of units, starting at index 0: a stack copy of
+ *  the dims/strides it steps through, so the kernels' hot loops see
+ *  provably loop-invariant locals instead of vector loads the
+ *  optimizer must assume the amplitude stores could alias. */
 struct Odometer
 {
     int n = 0;
@@ -180,25 +161,8 @@ struct Odometer
         }
     }
 
-    /** Position at block @p blk (mixed-radix decompose, rightmost
-     *  digit least significant — the order bump() advances in) and
-     *  return its base index. Called once per kernel call; div/mod
-     *  cost is irrelevant. */
-    std::size_t
-    seek(std::size_t blk)
-    {
-        std::size_t base = 0;
-        for (int t = n - 1; t >= 0; --t) {
-            const int d =
-                static_cast<int>(blk % static_cast<std::size_t>(dims[t]));
-            blk /= static_cast<std::size_t>(dims[t]);
-            digit[t] = d;
-            base += static_cast<std::size_t>(d) * strides[t];
-        }
-        return base;
-    }
-
-    /** Advance @p base by one block with stride carries (no div/mod). */
+    /** Advance @p base by one step of the rightmost digit, carrying
+     *  with stride subtraction (no div/mod). */
     inline void
     bump(std::size_t &base)
     {
@@ -212,17 +176,16 @@ struct Odometer
     }
 };
 
-// The three gate kernels, each over a complement-block range
-// [lo, hi).
+// The three gate kernels, each over all @p blocks complement blocks.
 
 void
 runK2(Cplx *amps, Cplx m00, Cplx m01, Cplx m10, Cplx m11, std::size_t s1,
-      std::size_t lo, std::size_t hi, const std::vector<int> &rest_dims,
+      std::size_t blocks, const std::vector<int> &rest_dims,
       const std::vector<std::size_t> &rest_str)
 {
     Odometer odo(rest_dims, rest_str);
-    std::size_t base = odo.seek(lo);
-    for (std::size_t blk = lo; blk < hi; ++blk) {
+    std::size_t base = 0;
+    for (std::size_t blk = 0; blk < blocks; ++blk) {
         const Cplx a0 = amps[base];
         const Cplx a1 = amps[base + s1];
         amps[base] = m00 * a0 + m01 * a1;
@@ -233,8 +196,7 @@ runK2(Cplx *amps, Cplx m00, Cplx m01, Cplx m10, Cplx m11, std::size_t s1,
 
 void
 runK4(Cplx *amps, const Cplx m[16], std::size_t s1, std::size_t s2,
-      std::size_t s3, std::size_t lo, std::size_t hi,
-      const std::vector<int> &rest_dims,
+      std::size_t s3, std::size_t blocks, const std::vector<int> &rest_dims,
       const std::vector<std::size_t> &rest_str)
 {
     // Local copy: the caller's matrix lives behind a pointer the
@@ -243,8 +205,8 @@ runK4(Cplx *amps, const Cplx m[16], std::size_t s1, std::size_t s2,
     for (int i = 0; i < 16; ++i)
         lm[i] = m[i];
     Odometer odo(rest_dims, rest_str);
-    std::size_t base = odo.seek(lo);
-    for (std::size_t blk = lo; blk < hi; ++blk) {
+    std::size_t base = 0;
+    for (std::size_t blk = 0; blk < blocks; ++blk) {
         const Cplx a0 = amps[base];
         const Cplx a1 = amps[base + s1];
         const Cplx a2 = amps[base + s2];
@@ -264,7 +226,7 @@ void
 runGeneral(Cplx *amps, std::size_t k, const std::vector<std::size_t> &offset,
            const std::vector<std::size_t> &row_begin,
            const std::vector<std::size_t> &nz_col,
-           const std::vector<Cplx> &nz_val, std::size_t lo, std::size_t hi,
+           const std::vector<Cplx> &nz_val, std::size_t blocks,
            const std::vector<int> &rest_dims,
            const std::vector<std::size_t> &rest_str)
 {
@@ -275,8 +237,8 @@ runGeneral(Cplx *amps, std::size_t k, const std::vector<std::size_t> &offset,
     // is provably disjoint.
     const std::vector<Cplx> vals(nz_val);
     Odometer odo(rest_dims, rest_str);
-    std::size_t base = odo.seek(lo);
-    for (std::size_t blk = lo; blk < hi; ++blk) {
+    std::size_t base = 0;
+    for (std::size_t blk = 0; blk < blocks; ++blk) {
         for (std::size_t li = 0; li < k; ++li)
             in[li] = amps[base + offset[li]];
         for (std::size_t row = 0; row < k; ++row) {
@@ -303,16 +265,17 @@ MixedRadixState::applyUnitary(const std::vector<int> &units,
     // loops then index amps_ directly with no div/mod arithmetic.
     std::vector<std::size_t> offset(k);
     {
-        std::vector<int> tdims(units.size()), tdigit(units.size(), 0);
+        std::vector<int> tdims(units.size());
         std::vector<std::size_t> tstr(units.size());
         for (std::size_t t = 0; t < units.size(); ++t) {
             tdims[t] = dims_[units[t]];
             tstr[t] = strides_[units[t]];
         }
+        Odometer odo(tdims, tstr);
         std::size_t off = 0;
         for (std::size_t li = 0; li < k; ++li) {
             offset[li] = off;
-            bumpOdometer(off, tdigit, tdims, tstr);
+            odo.bump(off);
         }
     }
 
@@ -334,8 +297,8 @@ MixedRadixState::applyUnitary(const std::vector<int> &units,
     Cplx *amps = amps_.data();
 
     if (k == 2) {
-        runK2(amps, u[0][0], u[0][1], u[1][0], u[1][1], offset[1], 0,
-              blocks, rest_dims, rest_str);
+        runK2(amps, u[0][0], u[0][1], u[1][0], u[1][1], offset[1], blocks,
+              rest_dims, rest_str);
         return;
     }
 
@@ -344,8 +307,8 @@ MixedRadixState::applyUnitary(const std::vector<int> &units,
         for (std::size_t r = 0; r < 4; ++r)
             for (std::size_t c = 0; c < 4; ++c)
                 m[4 * r + c] = u[r][c];
-        runK4(amps, m, offset[1], offset[2], offset[3], 0, blocks,
-              rest_dims, rest_str);
+        runK4(amps, m, offset[1], offset[2], offset[3], blocks, rest_dims,
+              rest_str);
         return;
     }
 
@@ -367,7 +330,7 @@ MixedRadixState::applyUnitary(const std::vector<int> &units,
         }
         row_begin[row + 1] = nz_col.size();
     }
-    runGeneral(amps, k, offset, row_begin, nz_col, nz_val, 0, blocks,
+    runGeneral(amps, k, offset, row_begin, nz_col, nz_val, blocks,
                rest_dims, rest_str);
 }
 

@@ -40,12 +40,11 @@ ExhaustiveStrategy::choosePairsWithTrace(
     // Lane 0 reuses the caller's context; other lanes lazily build
     // their own (the cache is single-writer state), created at most
     // once per choosePairs call and reused across all rounds. Calls
-    // already running on a pool worker stay serial
-    // (ThreadPool::forRequest returns nullptr there).
+    // already running in a pool lane get a one-lane pool.
     std::optional<ThreadPool> own_pool;
-    ThreadPool *pool = ThreadPool::forRequest(cfg.threads, own_pool);
-    std::vector<std::unique_ptr<CompileContext>> lane_ctx(
-        pool ? pool->numThreads() : 1);
+    ThreadPool &pool = ThreadPool::forRequest(cfg.threads, own_pool);
+    const std::size_t lanes = static_cast<std::size_t>(pool.numThreads());
+    std::vector<std::unique_ptr<CompileContext>> lane_ctx(lanes);
     auto ctx_of_lane = [&](int lane) -> CompileContext * {
         if (lane == 0)
             return ctx;
@@ -104,13 +103,13 @@ ExhaustiveStrategy::choosePairsWithTrace(
         for (int group = first_group; group <= last_group && !committed;
              ++group) {
             // Enumerate this group's candidates in ascending (a, b)
-            // order, score every one independently (in parallel when a
-            // pool is available), then reduce serially in that same
-            // order with the strict ">" the serial search used. The
-            // winner is therefore bit-identical regardless of lane
-            // count: scores are pure functions of the candidate (the
-            // cache never changes results) and ties keep the earliest
-            // candidate either way.
+            // order and score every one independently. Each lane keeps
+            // its best under a strict ">" over the ascending indices
+            // it draws; the winner is the highest score with ties to
+            // the lowest index, which is what one scan in candidate
+            // order with a strict ">" picks. Scores are pure functions
+            // of the candidate (the cache never changes results), so
+            // the winner is bit-identical regardless of lane count.
             std::vector<Compression> cands;
             for (QubitId a = 0; a < n; ++a) {
                 if (paired[a])
@@ -121,56 +120,39 @@ ExhaustiveStrategy::choosePairsWithTrace(
                 }
             }
 
-            auto compile_cand = [&](std::size_t i, int lane) {
+            struct LaneBest
+            {
+                double eps;
+                std::size_t idx; // cands.size() while nothing beat best
+                CompileResult res;
+            };
+            std::vector<LaneBest> lane_best(
+                lanes, LaneBest{value_of(best), cands.size(), {}});
+            pool.parallelFor(0, cands.size(), [&](std::size_t i, int lane) {
                 auto cand = pairs;
                 cand.push_back(cands[i]);
-                return compileWithPairs(native, topo, lib, cand, false,
-                                        inner, ctx_of_lane(lane));
-            };
-
-            double best_eps = value_of(best);
-            std::size_t best_idx = cands.size();
-            CompileResult best_res;
-            if (pool) {
-                std::vector<double> score(cands.size());
-                pool->parallelFor(0, cands.size(),
-                                  [&](std::size_t i, int lane) {
-                                      score[i] =
-                                          value_of(compile_cand(i, lane));
-                                  });
-                for (std::size_t i = 0; i < cands.size(); ++i) {
-                    if (score[i] > best_eps) {
-                        best_eps = score[i];
-                        best_idx = i;
-                    }
+                CompileResult res = compileWithPairs(
+                    native, topo, lib, cand, false, inner, ctx_of_lane(lane));
+                LaneBest &lb = lane_best[static_cast<std::size_t>(lane)];
+                if (value_of(res) > lb.eps) {
+                    lb.eps = value_of(res);
+                    lb.idx = i;
+                    lb.res = std::move(res);
                 }
-                // Recompile the winner on the caller's context: one
-                // extra compile per committed pair, deterministic
-                // (identical to the lane's result by cache purity),
-                // and it keeps `best` warm on the lane-0 cache for
-                // the next round's critical-path analysis.
-                if (best_idx < cands.size())
-                    best_res = compile_cand(best_idx, 0);
-            } else {
-                // Serial: same candidate order and the same strict
-                // ">", keeping the winning result as it appears — no
-                // recompile needed.
-                for (std::size_t i = 0; i < cands.size(); ++i) {
-                    CompileResult res = compile_cand(i, 0);
-                    if (value_of(res) > best_eps) {
-                        best_eps = value_of(res);
-                        best_idx = i;
-                        best_res = std::move(res);
-                    }
-                }
+            });
+            LaneBest *win = &lane_best[0];
+            for (LaneBest &lb : lane_best) {
+                if (lb.eps > win->eps ||
+                    (lb.eps == win->eps && lb.idx < win->idx))
+                    win = &lb;
             }
 
-            if (best_idx < cands.size()) {
-                const Compression best_pair = cands[best_idx];
+            if (win->idx < cands.size()) {
+                const Compression best_pair = cands[win->idx];
                 pairs.push_back(best_pair);
                 paired[best_pair.first] = true;
                 paired[best_pair.second] = true;
-                best = std::move(best_res);
+                best = std::move(win->res);
                 if (trace) {
                     trace->push_back({best_pair,
                                       best.metrics.gateEps,

@@ -59,10 +59,10 @@ class ExhaustiveStrategy : public CompressionStrategy
      *  fan out over cfg.threads lanes (see CompilerConfig::threads),
      *  one CompileContext per lane, so distance fields computed for
      *  one candidate layout serve the next instead of being
-     *  recomputed n^2 times; the serial reduction over candidate
-     *  scores makes the chosen pairing bit-identical for every lane
-     *  count. @p ctx, when given, serves lane 0 and the committed
-     *  recompiles. */
+     *  recomputed n^2 times; each lane keeps its best candidate and
+     *  the highest score wins with ties to the lowest candidate
+     *  index, so the chosen pairing is bit-identical for every lane
+     *  count. @p ctx, when given, serves lane 0. */
     std::vector<Compression>
     choosePairsWithTrace(const Circuit &native, const Topology &topo,
                          const GateLibrary &lib, const CompilerConfig &cfg,

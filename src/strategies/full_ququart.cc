@@ -456,10 +456,11 @@ FullQuquartStrategy::compile(const Circuit &circuit, const Topology &topo,
     }
 
     result.compiled.setFinalLayout(layout);
-    scheduleCompiled(result.compiled, lib);
+    scheduleCompiled(result.compiled, lib, cfg.calibration.get());
     if (cfg.validate)
         validateCompiled(result.compiled, topo);
-    result.metrics = computeMetrics(result.compiled, lib);
+    result.metrics =
+        computeMetrics(result.compiled, lib, cfg.calibration.get());
     return result;
 }
 

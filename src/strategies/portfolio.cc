@@ -23,12 +23,12 @@ PortfolioStrategy::compile(const Circuit &circuit, const Topology &topo,
     // Member fan-out: cfg.threads lanes (0 = the process default).
     // Lane 0 uses the caller's context; other lanes (and lane 0 when
     // the caller passed none) lazily build their own, since contexts
-    // are single-writer. Calls already running on a pool worker stay
-    // serial (ThreadPool::forRequest returns nullptr there).
+    // are single-writer. Calls already running in a pool lane get a
+    // one-lane pool.
     std::optional<ThreadPool> own_pool;
-    ThreadPool *pool = ThreadPool::forRequest(cfg.threads, own_pool);
+    ThreadPool &pool = ThreadPool::forRequest(cfg.threads, own_pool);
     std::vector<std::unique_ptr<CompileContext>> lane_ctx(
-        pool ? pool->numThreads() : 1);
+        pool.numThreads());
     auto ctx_of_lane = [&](int lane) -> CompileContext * {
         if (lane == 0 && ctx)
             return ctx;
@@ -38,7 +38,7 @@ PortfolioStrategy::compile(const Circuit &circuit, const Topology &topo,
     };
 
     std::vector<std::optional<CompileResult>> results(members_.size());
-    auto compile_member = [&](std::size_t i, int lane) {
+    pool.parallelFor(0, members_.size(), [&](std::size_t i, int lane) {
         try {
             results[i] = members_[i]->compile(circuit, topo, lib, cfg,
                                               ctx_of_lane(lane));
@@ -46,12 +46,7 @@ PortfolioStrategy::compile(const Circuit &circuit, const Topology &topo,
             // A member may not fit (e.g. qubit-only over capacity);
             // the portfolio simply skips it.
         }
-    };
-    if (pool)
-        pool->parallelFor(0, members_.size(), compile_member);
-    else
-        for (std::size_t i = 0; i < members_.size(); ++i)
-            compile_member(i, 0);
+    });
 
     // Serial reduction in member order with a strict ">": ties keep
     // the earliest member whatever the lane count.

@@ -532,24 +532,29 @@ TEST(CalibrationPricing, ReadoutErrorFoldsIntoTotalEps)
     const Circuit circuit = bernsteinVazirani(4);
     const GateLibrary lib;
     const Topology topo = Topology::grid(4);
-    const auto strategy = makeStrategy("qubit_only");
 
     CompilerConfig ro;
     ro.calibration = std::make_shared<const DeviceCalibration>(
         DeviceCalibration::uniform(topo.name(), topo.numUnits(),
                                    GateLibrary::kT1QubitNs,
                                    GateLibrary::kT1QuquartNs, 0.05));
-    const CompileResult res = strategy->compile(circuit, topo, lib, ro);
-    // 4 measured qubits at 5% readout error each.
-    EXPECT_NEAR(res.metrics.readoutEps, std::pow(0.95, 4), 1e-12);
-    EXPECT_DOUBLE_EQ(res.metrics.totalEps,
-                     res.metrics.gateEps * res.metrics.coherenceEps *
-                         res.metrics.readoutEps);
-
     CompilerConfig plain;
-    const CompileResult base =
-        strategy->compile(circuit, topo, lib, plain);
-    EXPECT_DOUBLE_EQ(base.metrics.readoutEps, 1.0);
+    for (const char *name : {"qubit_only", "fq"}) {
+        const auto strategy = makeStrategy(name);
+        const CompileResult res =
+            strategy->compile(circuit, topo, lib, ro);
+        // 4 measured qubits at 5% readout error each.
+        EXPECT_NEAR(res.metrics.readoutEps, std::pow(0.95, 4), 1e-12)
+            << name;
+        EXPECT_DOUBLE_EQ(res.metrics.totalEps,
+                         res.metrics.gateEps * res.metrics.coherenceEps *
+                             res.metrics.readoutEps)
+            << name;
+
+        const CompileResult base =
+            strategy->compile(circuit, topo, lib, plain);
+        EXPECT_DOUBLE_EQ(base.metrics.readoutEps, 1.0) << name;
+    }
 }
 
 TEST(CalibrationPricing, EdgeScalesReachScheduledGates)

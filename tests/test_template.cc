@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
+#include "arch/device.hh"
 #include "circuits/bv.hh"
 #include "circuits/qaoa.hh"
 #include "circuits/registry.hh"
@@ -166,40 +168,61 @@ anglesC()
 // Direct rebind API (no service)
 // ------------------------------------------------------------------
 
+/** A calibration for @p topo that prices unlike the library
+ *  defaults: per-unit qubit T1s from 30 to 56 us, a 20 us ququart T1
+ *  and 5% readout error on every unit. */
+std::shared_ptr<const DeviceCalibration>
+skewedCalibration(const Topology &topo)
+{
+    const int units = topo.numUnits();
+    DeviceCalibration cal = DeviceCalibration::uniform(
+        topo.name(), units, 30'000.0, 20'000.0, 0.05);
+    for (int u = 0; u < units; ++u)
+        cal.t1QubitNs[u] = 30'000.0 + 26'000.0 * u / units;
+    return std::make_shared<const DeviceCalibration>(std::move(cal));
+}
+
 TEST(TemplateRebind, MatchesFullCompileForEveryStrategyAndTopology)
 {
     const Circuit exemplar = angleFixture(anglesA(), "angles");
     const Circuit other = angleFixture(anglesB(), "angles");
     const GateLibrary lib;
-    CompilerConfig cfg;
-    cfg.lookaheadWeight = 0.5;
+    CompilerConfig plain;
+    plain.lookaheadWeight = 0.5;
 
     ASSERT_EQ(structuralCircuitFingerprint(exemplar).value,
               structuralCircuitFingerprint(other).value);
 
     for (const auto &topo : testTopologies()) {
-        for (const auto &strat : standardStrategies()) {
-            CompileResult base;
-            try {
-                base = strat->compile(exemplar, topo, lib, cfg);
-            } catch (const FatalError &) {
-                continue; // strategy cannot fit this topology
-            }
-            const CompiledTemplate tpl = makeTemplate(
-                std::make_shared<const CompileResult>(base), exemplar);
-            EXPECT_GT(tpl.numParamSlots, 0u);
-            EXPECT_EQ(tpl.numParamSlots,
-                      structuralCircuitFingerprint(exemplar)
-                          .paramGates.size());
+        CompilerConfig calibrated = plain;
+        calibrated.calibration = skewedCalibration(topo);
+        for (const CompilerConfig *cfg : {&plain, &calibrated}) {
+            const char *pricing =
+                cfg->calibration ? " (calibrated)" : "";
+            for (const auto &strat : standardStrategies()) {
+                CompileResult base;
+                try {
+                    base = strat->compile(exemplar, topo, lib, *cfg);
+                } catch (const FatalError &) {
+                    continue; // strategy cannot fit this topology
+                }
+                const CompiledTemplate tpl = makeTemplate(
+                    std::make_shared<const CompileResult>(base),
+                    exemplar);
+                EXPECT_GT(tpl.numParamSlots, 0u);
+                EXPECT_EQ(tpl.numParamSlots,
+                          structuralCircuitFingerprint(exemplar)
+                              .paramGates.size());
 
-            const CompileResult rebound =
-                rebindTemplate(tpl, other, lib);
-            const CompileResult direct =
-                strat->compile(other, topo, lib, cfg);
-            EXPECT_TRUE(
-                sameResult(rebound, direct, other.numQubits()))
-                << strat->name() << " on " << topo.name();
-            EXPECT_EQ(rebound.compiled.name(), other.name());
+                const CompileResult rebound = rebindTemplate(
+                    tpl, other, lib, cfg->calibration.get());
+                const CompileResult direct =
+                    strat->compile(other, topo, lib, *cfg);
+                EXPECT_TRUE(
+                    sameResult(rebound, direct, other.numQubits()))
+                    << strat->name() << " on " << topo.name() << pricing;
+                EXPECT_EQ(rebound.compiled.name(), other.name());
+            }
         }
     }
 }

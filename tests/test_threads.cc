@@ -4,7 +4,7 @@
  *
  *  - ThreadPool contract: full index coverage, stable lane ids,
  *    first-exception propagation, reuse after failure, nested-call
- *    inlining.
+ *    inlining, and forRequest's one-lane, nested and private pools.
  *  - Exhaustive strategy: 1, 2, and 8 lanes produce bit-identical
  *    compiled circuits to the serial search on ring, grid, and
  *    heavy-hex topologies over seeded circuits.
@@ -58,16 +58,6 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
-TEST(ThreadPool, SubmitDeliversResultsAndExceptions)
-{
-    ThreadPool pool(3);
-    auto ok = pool.submit([] { return 42; });
-    auto bad = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_EQ(ok.get(), 42);
-    EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, ParallelForPropagatesFirstExceptionAndSurvives)
 {
     ThreadPool pool(4);
@@ -111,7 +101,49 @@ TEST(ThreadPool, SingleLanePoolRunsEverythingInline)
         ++count;
     });
     EXPECT_EQ(count, 100);
-    EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+}
+
+/** Every index of a parallelFor over @p pool runs exactly once. */
+void
+expectCoversEveryIndex(ThreadPool &pool, const char *what)
+{
+    constexpr std::size_t kN = 64;
+    std::vector<std::atomic<int>> hits(kN);
+    pool.parallelFor(0, kN, [&](std::size_t i, int) { hits[i] += 1; });
+    for (std::size_t i = 0; i < kN; ++i)
+        EXPECT_EQ(hits[i].load(), 1) << what << " index " << i;
+}
+
+TEST(ThreadPool, ForRequestAlwaysReturnsAPool)
+{
+    std::optional<ThreadPool> own;
+
+    ThreadPool &one = ThreadPool::forRequest(1, own);
+    EXPECT_EQ(one.numThreads(), 1);
+    EXPECT_EQ(&one, &*own);
+    expectCoversEveryIndex(one, "one-lane request");
+
+    // From inside a lane, even a many-lane request gets one lane.
+    ThreadPool outer(3);
+    std::atomic<int> multi_lane{0};
+    outer.parallelFor(0, 6, [&](std::size_t, int) {
+        std::optional<ThreadPool> nested_own;
+        ThreadPool &nested = ThreadPool::forRequest(3, nested_own);
+        if (nested.numThreads() != 1)
+            ++multi_lane;
+        expectCoversEveryIndex(nested, "nested request");
+    });
+    EXPECT_EQ(multi_lane.load(), 0);
+
+    // Three lanes: a private pool in own, or the process-wide pool
+    // when that is the default; a second request reuses it either way.
+    ThreadPool &three = ThreadPool::forRequest(3, own);
+    EXPECT_EQ(three.numThreads(), 3);
+    expectCoversEveryIndex(three, "three-lane request");
+    EXPECT_EQ(&ThreadPool::forRequest(3, own), &three);
+    if (ThreadPool::defaultThreadCount() != 3) {
+        EXPECT_EQ(&three, &*own);
+    }
 }
 
 // ---------------------------------------------- exhaustive determinism
