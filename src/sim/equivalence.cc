@@ -1,8 +1,8 @@
 #include "sim/equivalence.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <map>
 
 #include "common/error.hh"
 #include "common/rng.hh"
@@ -14,57 +14,142 @@ namespace qompress {
 
 namespace {
 
-/** Units the simulation must model: initially occupied or gate-touched. */
-std::vector<UnitId>
-activeUnits(const CompiledCircuit &compiled)
+/** The units the simulation models, in unit order: those initially
+ *  occupied or touched by a gate. */
+struct SimUnits
 {
-    std::vector<bool> active(compiled.initialLayout().numUnits(), false);
+    /** Unit of each simulator index. */
+    std::vector<UnitId> units;
+    /** Simulator index of each unit; -1 where it is not modelled. */
+    std::vector<int> index;
+    /** Simulated dimension of each simulator index: 4 wherever
+     *  ququart states can appear (determined by a layout replay). */
+    std::vector<int> dims;
+};
+
+SimUnits
+simUnits(const CompiledCircuit &compiled)
+{
     const Layout &init = compiled.initialLayout();
+    // 0 = not modelled, else the simulated dimension.
+    std::vector<int> dim(init.numUnits(), 0);
     for (UnitId u = 0; u < init.numUnits(); ++u) {
         if (init.unitOccupancy(u) > 0)
-            active[u] = true;
+            dim[u] = init.unitEncoded(u) ? 4 : 2;
     }
-    for (const auto &g : compiled.gates())
-        for (UnitId u : g.units())
-            active[u] = true;
-    std::vector<UnitId> out;
-    for (UnitId u = 0; u < init.numUnits(); ++u) {
-        if (active[u])
-            out.push_back(u);
-    }
-    return out;
-}
-
-/** Per-active-unit simulated dimension: 4 wherever ququart states can
- *  appear (determined by a layout replay). */
-std::map<UnitId, int>
-unitDims(const CompiledCircuit &compiled,
-         const std::vector<UnitId> &active)
-{
-    std::map<UnitId, int> dims;
-    for (UnitId u : active)
-        dims[u] = 2;
-    Layout layout = compiled.initialLayout();
-    for (UnitId u : active) {
-        if (layout.unitEncoded(u))
-            dims[u] = 4;
-    }
+    Layout layout = init;
     for (const auto &g : compiled.gates()) {
         for (UnitId u : g.units()) {
-            if (layout.unitEncoded(u))
-                dims[u] = 4;
-        }
-        if (g.cls == PhysGateClass::SwapFull) {
-            // Whole-ququart exchanges carry 4-level states both ways.
-            for (UnitId u : g.units())
-                dims[u] = 4;
+            if (layout.unitEncoded(u) || g.cls == PhysGateClass::SwapFull) {
+                // Whole-ququart exchanges carry 4-level states both ways.
+                dim[u] = 4;
+            } else {
+                dim[u] = std::max(dim[u], 2);
+            }
         }
         if (g.cls == PhysGateClass::Encode)
-            dims[slotUnit(g.slots[0])] = 4;
-        // Advance occupancy.
+            dim[slotUnit(g.slots[0])] = 4;
         advanceLayout(layout, g);
     }
-    return dims;
+    SimUnits sim;
+    sim.index.assign(dim.size(), -1);
+    for (UnitId u = 0; u < init.numUnits(); ++u) {
+        if (dim[u] != 0) {
+            sim.index[u] = static_cast<int>(sim.units.size());
+            sim.units.push_back(u);
+            sim.dims.push_back(dim[u]);
+        }
+    }
+    return sim;
+}
+
+/** How the final physical state decodes: on simulator index i, the
+ *  digits below valid[i] lie in the logical subspace, and digit d adds
+ *  term[4 * i + d] to the logical basis index. */
+struct Decoder
+{
+    std::vector<int> valid;
+    std::vector<std::size_t> term;
+};
+
+Decoder
+decoder(const SimUnits &sim, const Layout &fin, int n)
+{
+    const auto stride = [n](QubitId q) {
+        return std::size_t{1} << (n - 1 - q);
+    };
+    Decoder dec;
+    dec.term.assign(4 * sim.units.size(), 0);
+    for (std::size_t i = 0; i < sim.units.size(); ++i) {
+        const UnitId u = sim.units[i];
+        const QubitId q0 = fin.qubitAt(makeSlot(u, 0));
+        const QubitId q1 = fin.qubitAt(makeSlot(u, 1));
+        std::size_t *term = &dec.term[4 * i];
+        if (q0 != kInvalid && q1 != kInvalid) {
+            dec.valid.push_back(4);
+            for (std::size_t d = 0; d < 4; ++d)
+                term[d] = (d >> 1) * stride(q0) + (d & 1) * stride(q1);
+        } else if (q0 != kInvalid) {
+            dec.valid.push_back(2);
+            term[1] = stride(q0);
+        } else {
+            // Empty, or position 1 alone: only |0> is logical.
+            dec.valid.push_back(1);
+        }
+    }
+    return dec;
+}
+
+/**
+ * Compare every amplitude of @p phys, in index order, with the one
+ * @p ref holds for its decoded logical index (zero outside the logical
+ * subspace). Walks the physical digits with an odometer, so each step
+ * updates the logical index by table lookups. Returns false, with the
+ * report's message set, at the first amplitude off by more than @p tol
+ * or not a number.
+ */
+bool
+decodedMatches(const MixedRadixState &phys, const MixedRadixState &ref,
+               const Decoder &dec, int trial, double tol,
+               EquivalenceReport &report)
+{
+    const int m = phys.numUnits();
+    std::vector<int> digit(static_cast<std::size_t>(m), 0);
+    std::size_t logical = 0; // sum of the in-subspace digits' terms
+    int outside = 0;         // units whose digit is outside the subspace
+    for (std::size_t idx = 0; idx < phys.size(); ++idx) {
+        const Cplx actual = phys.amp(idx);
+        const Cplx expect = outside == 0 ? ref.amp(logical) : Cplx(0.0);
+        // Multiple physical indices can decode to one logical index
+        // only when empty/bare units hold non-logical levels, which
+        // `outside` already excludes.
+        const double err = std::abs(actual - expect);
+        report.maxError = std::max(report.maxError, err);
+        if (!(err <= tol)) { // a NaN, which std::max skips, fails too
+            report.message = format(
+                "trial %d: amplitude mismatch %.3e at physical "
+                "index %zu", trial, err, idx);
+            return false;
+        }
+        for (int i = m - 1; i >= 0; --i) {
+            const std::size_t *term = &dec.term[4 * i];
+            const int valid = dec.valid[i];
+            int &d = digit[i];
+            if (d < valid)
+                logical -= term[d];
+            else
+                --outside;
+            if (++d == phys.dim(i))
+                d = 0;
+            if (d < valid)
+                logical += term[d];
+            else
+                ++outside;
+            if (d != 0)
+                break;
+        }
+    }
+    return true;
 }
 
 } // namespace
@@ -73,22 +158,27 @@ EquivalenceReport
 checkEquivalence(const Circuit &logical, const CompiledCircuit &compiled,
                  int trials, std::uint64_t seed, double tol)
 {
+    QFATAL_IF(trials < 0, "checkEquivalence: trials must be >= 0, got ",
+              trials);
     EquivalenceReport report;
     const int n = logical.numQubits();
-    const auto active = activeUnits(compiled);
-    const auto dims_by_unit = unitDims(compiled, active);
-
-    // Simulator index per active unit.
-    std::map<UnitId, int> sim_index;
-    std::vector<int> phys_dims;
-    for (UnitId u : active) {
-        sim_index[u] = static_cast<int>(phys_dims.size());
-        phys_dims.push_back(dims_by_unit.at(u));
+    const Layout &init = compiled.initialLayout();
+    const Layout &fin = compiled.finalLayout();
+    for (const Layout *l : {&init, &fin}) {
+        if (l->numQubits() != n) {
+            report.message = format(
+                "width mismatch: the logical circuit has %d qubits, the "
+                "compiled circuit's %s layout %d", n,
+                l == &init ? "initial" : "final", l->numQubits());
+            return report;
+        }
     }
+    const SimUnits sim = simUnits(compiled);
+    const std::size_t m = sim.units.size();
 
     // Guard against oversized simulations.
     std::size_t total = 1;
-    for (int d : phys_dims) {
+    for (int d : sim.dims) {
         total *= static_cast<std::size_t>(d);
         if (total > (1ULL << 24)) {
             report.message = "physical state too large to simulate";
@@ -96,37 +186,34 @@ checkEquivalence(const Circuit &logical, const CompiledCircuit &compiled,
         }
     }
 
-    Rng rng(seed);
-    for (int trial = 0; trial <= trials; ++trial) {
-        // Trial 0: |0...0>; afterwards random product states.
-        std::vector<std::vector<Cplx>> qubit_state(n);
-        for (int q = 0; q < n; ++q) {
-            if (trial == 0) {
-                qubit_state[q] = {1.0, 0.0};
-            } else {
-                const double theta = rng.nextDouble(0.0, M_PI);
-                const double phi = rng.nextDouble(0.0, 2.0 * M_PI);
-                qubit_state[q] = {
-                    std::cos(theta / 2),
-                    std::exp(Cplx(0, 1) * phi) * std::sin(theta / 2)};
-            }
-        }
+    // Both circuits' gates are prepared once, against the shapes of
+    // trial 0's states, and replayed in every trial.
+    std::vector<std::vector<Cplx>> qubit_state(n, {1.0, 0.0});
+    MixedRadixState ref = MixedRadixState::product(qubit_state);
+    std::vector<PreparedGate> logical_gates;
+    logical_gates.reserve(logical.gates().size());
+    for (const auto &g : logical.gates())
+        logical_gates.push_back(ref.prepare(g.qubits, logicalGateUnitary(g)));
 
-        // Reference: simulate the logical circuit directly.
-        MixedRadixState ref = MixedRadixState::product(qubit_state);
-        for (const auto &g : logical.gates()) {
-            std::vector<int> targets(g.qubits.begin(), g.qubits.end());
-            ref.applyUnitary(targets, logicalGateUnitary(g));
+    // The qubits each modelled unit starts with.
+    std::vector<std::array<QubitId, 2>> start(m);
+    for (std::size_t i = 0; i < m; ++i) {
+        const UnitId u = sim.units[i];
+        start[i] = {init.qubitAt(makeSlot(u, 0)),
+                    init.qubitAt(makeSlot(u, 1))};
+        if (start[i][0] == kInvalid && start[i][1] != kInvalid) {
+            report.message = "initial layout uses position 1 of a "
+                             "non-encoded unit";
+            return report;
         }
-
-        // Physical initial state from the initial layout.
-        const Layout &init = compiled.initialLayout();
-        std::vector<std::vector<Cplx>> unit_state(phys_dims.size());
-        for (UnitId u : active) {
-            const int d = dims_by_unit.at(u);
-            std::vector<Cplx> s(static_cast<std::size_t>(d), 0.0);
-            const QubitId q0 = init.qubitAt(makeSlot(u, 0));
-            const QubitId q1 = init.qubitAt(makeSlot(u, 1));
+    }
+    // The physical product state encoding the current qubit states.
+    std::vector<std::vector<Cplx>> unit_state(m);
+    const auto physicalInput = [&] {
+        for (std::size_t i = 0; i < m; ++i) {
+            std::vector<Cplx> &s = unit_state[i];
+            s.assign(static_cast<std::size_t>(sim.dims[i]), 0.0);
+            const auto [q0, q1] = start[i];
             if (q0 != kInvalid && q1 != kInvalid) {
                 for (int a = 0; a < 2; ++a)
                     for (int b = 0; b < 2; ++b)
@@ -135,73 +222,56 @@ checkEquivalence(const Circuit &logical, const CompiledCircuit &compiled,
             } else if (q0 != kInvalid) {
                 s[0] = qubit_state[q0][0];
                 s[1] = qubit_state[q0][1];
-            } else if (q1 != kInvalid) {
-                report.message = "initial layout uses position 1 of a "
-                                 "non-encoded unit";
-                return report;
             } else {
                 s[0] = 1.0;
             }
-            unit_state[sim_index.at(u)] = std::move(s);
         }
-        MixedRadixState phys = MixedRadixState::product(unit_state);
+        return MixedRadixState::product(unit_state);
+    };
+    MixedRadixState phys = physicalInput();
 
-        // Replay the compiled gates, tracking encoding via the layout.
-        Layout layout = init;
-        for (const auto &g : compiled.gates()) {
-            const auto units = g.units();
-            std::vector<int> targets;
-            std::vector<int> tdims;
-            std::vector<bool> tenc;
-            for (UnitId u : units) {
-                targets.push_back(sim_index.at(u));
-                tdims.push_back(dims_by_unit.at(u));
-                tenc.push_back(layout.unitEncoded(u));
-            }
-            phys.applyUnitary(targets, physGateUnitary(g, tdims, tenc));
-            advanceLayout(layout, g);
+    // Encoded flags come from a layout replay, as the gates execute.
+    std::vector<PreparedGate> phys_gates;
+    phys_gates.reserve(compiled.gates().size());
+    Layout layout = init;
+    std::vector<int> targets, tdims;
+    std::vector<bool> tenc;
+    for (const auto &g : compiled.gates()) {
+        targets.clear();
+        tdims.clear();
+        tenc.clear();
+        for (UnitId u : g.units()) {
+            const int i = sim.index[u];
+            targets.push_back(i);
+            tdims.push_back(sim.dims[i]);
+            tenc.push_back(layout.unitEncoded(u));
         }
+        phys_gates.push_back(
+            phys.prepare(targets, physGateUnitary(g, tdims, tenc)));
+        advanceLayout(layout, g);
+    }
+    const Decoder dec = decoder(sim, fin, n);
 
-        // Decode the final physical state against the final layout.
-        const Layout &fin = compiled.finalLayout();
-        for (std::size_t idx = 0; idx < phys.size(); ++idx) {
-            std::vector<int> bits(n, 0);
-            bool in_subspace = true;
-            for (UnitId u : active) {
-                const int d = phys.digit(idx, sim_index.at(u));
-                const QubitId q0 = fin.qubitAt(makeSlot(u, 0));
-                const QubitId q1 = fin.qubitAt(makeSlot(u, 1));
-                if (q0 != kInvalid && q1 != kInvalid) {
-                    bits[q0] = d >> 1;
-                    bits[q1] = d & 1;
-                } else if (q0 != kInvalid) {
-                    if (d >= 2) {
-                        in_subspace = false;
-                        break;
-                    }
-                    bits[q0] = d;
-                } else {
-                    if (d != 0) {
-                        in_subspace = false;
-                        break;
-                    }
-                }
+    Rng rng(seed);
+    for (int trial = 0; trial <= trials; ++trial) {
+        // Trial 0: |0...0>; afterwards random product states.
+        if (trial > 0) {
+            for (int q = 0; q < n; ++q) {
+                const double theta = rng.nextDouble(0.0, M_PI);
+                const double phi = rng.nextDouble(0.0, 2.0 * M_PI);
+                qubit_state[q] = {
+                    std::cos(theta / 2),
+                    std::exp(Cplx(0, 1) * phi) * std::sin(theta / 2)};
             }
-            const Cplx actual = phys.amp(idx);
-            const Cplx expect = in_subspace
-                ? ref.amp(ref.indexOf(bits)) : Cplx(0.0);
-            // Multiple physical indices can decode to one logical
-            // index only when empty/bare units hold non-logical
-            // levels, which in_subspace already excludes.
-            const double err = std::abs(actual - expect);
-            report.maxError = std::max(report.maxError, err);
-            if (err > tol) {
-                report.message = format(
-                    "trial %d: amplitude mismatch %.3e at physical "
-                    "index %zu", trial, err, idx);
-                return report;
-            }
+            ref = MixedRadixState::product(qubit_state);
+            phys = physicalInput();
         }
+        for (const PreparedGate &g : logical_gates)
+            ref.apply(g);
+        for (const PreparedGate &g : phys_gates)
+            phys.apply(g);
+        if (!decodedMatches(phys, ref, dec, trial, tol, report))
+            return report;
     }
     report.ok = true;
     return report;

@@ -32,10 +32,17 @@ struct EquivalenceReport
  * state) through both the logical circuit (qubit statevector) and the
  * compiled circuit (mixed-radix statevector with the paper's ququart
  * encoding), decoding the final state through the compiled circuit's
- * final layout. Amplitudes must agree within @p tol.
+ * final layout. Amplitudes must agree within @p tol (a NaN never
+ * does). Both gate lists are prepared once per check
+ * (MixedRadixState::prepare) and replayed in every trial.
+ *
+ * A compiled circuit whose layouts hold a different number of qubits
+ * than @p logical fails with a message naming both widths.
  *
  * Simulation cost is exponential in the number of active units; keep
  * logical circuits at or below ~10 qubits.
+ *
+ * @throws FatalError when @p trials is negative.
  */
 EquivalenceReport checkEquivalence(const Circuit &logical,
                                    const CompiledCircuit &compiled,

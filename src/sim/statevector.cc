@@ -1,5 +1,6 @@
 #include "sim/statevector.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hh"
@@ -78,11 +79,19 @@ MixedRadixState::product(const std::vector<std::vector<Cplx>> &unit_states)
     for (const auto &s : unit_states)
         dims.push_back(static_cast<int>(s.size()));
     MixedRadixState state(std::move(dims));
-    for (std::size_t idx = 0; idx < state.size(); ++idx) {
-        Cplx a = 1.0;
-        for (int u = 0; u < state.numUnits(); ++u)
-            a *= unit_states[u][state.digit(idx, u)];
-        state.amps_[idx] = a;
+    // Expand one unit at a time, in place from the back: after unit u
+    // the leading entries hold the product over units 0..u, each entry
+    // i spreading to [i * d, i * d + d), which no unread entry shares.
+    Cplx *amps = state.amps_.data();
+    std::size_t len = 1;
+    for (const auto &s : unit_states) {
+        const std::size_t d = s.size();
+        for (std::size_t i = len; i-- > 0;) {
+            const Cplx a = amps[i];
+            for (std::size_t j = d; j-- > 0;)
+                amps[i * d + j] = a * s[j];
+        }
+        len *= d;
     }
     return state;
 }
@@ -149,16 +158,16 @@ struct Odometer
     int dims[kMaxUnits];
     std::size_t strides[kMaxUnits];
 
-    Odometer(const std::vector<int> &d, const std::vector<std::size_t> &s)
-        : n(static_cast<int>(d.size()))
+    /** Append a unit as the new rightmost (fastest) digit. */
+    void
+    push(int dim, std::size_t stride)
     {
-        QPANIC_IF(n > kMaxUnits,
-                  "Odometer: ", n, " units exceeds stack capacity");
-        for (int t = 0; t < n; ++t) {
-            digit[t] = 0;
-            dims[t] = d[t];
-            strides[t] = s[t];
-        }
+        QPANIC_IF(n == kMaxUnits,
+                  "Odometer: more than ", kMaxUnits, " units");
+        digit[n] = 0;
+        dims[n] = dim;
+        strides[n] = stride;
+        ++n;
     }
 
     /** Advance @p base by one step of the rightmost digit, carrying
@@ -176,14 +185,18 @@ struct Odometer
     }
 };
 
-// The three gate kernels, each over all @p blocks complement blocks.
+// The gate kernels, each over all @p blocks complement blocks.
+// Per block, each computes the sum the naive reference does, up to
+// the sign of exact zeros (a dropped 0 * x term, or the reference's
+// leading 0 +).
 
+/** The dense 2 x 2 product. */
 void
-runK2(Cplx *amps, Cplx m00, Cplx m01, Cplx m10, Cplx m11, std::size_t s1,
-      std::size_t blocks, const std::vector<int> &rest_dims,
-      const std::vector<std::size_t> &rest_str)
+runDense2(Cplx *amps, const Cplx *m, const std::size_t *offset,
+          std::size_t blocks, Odometer &odo)
 {
-    Odometer odo(rest_dims, rest_str);
+    const Cplx m00 = m[0], m01 = m[1], m10 = m[2], m11 = m[3];
+    const std::size_t s1 = offset[1];
     std::size_t base = 0;
     for (std::size_t blk = 0; blk < blocks; ++blk) {
         const Cplx a0 = amps[base];
@@ -194,17 +207,16 @@ runK2(Cplx *amps, Cplx m00, Cplx m01, Cplx m10, Cplx m11, std::size_t s1,
     }
 }
 
+/** The dense 4 x 4 product, unrolled. */
 void
-runK4(Cplx *amps, const Cplx m[16], std::size_t s1, std::size_t s2,
-      std::size_t s3, std::size_t blocks, const std::vector<int> &rest_dims,
-      const std::vector<std::size_t> &rest_str)
+runDense4(Cplx *amps, const Cplx *m, const std::size_t *offset,
+          std::size_t blocks, Odometer &odo)
 {
-    // Local copy: the caller's matrix lives behind a pointer the
+    // Local copy: the gate's matrix lives behind a pointer the
     // amplitude stores could alias; registers/stack slots cannot.
     Cplx lm[16];
-    for (int i = 0; i < 16; ++i)
-        lm[i] = m[i];
-    Odometer odo(rest_dims, rest_str);
+    std::copy(m, m + 16, lm);
+    const std::size_t s1 = offset[1], s2 = offset[2], s3 = offset[3];
     std::size_t base = 0;
     for (std::size_t blk = 0; blk < blocks; ++blk) {
         const Cplx a0 = amps[base];
@@ -222,21 +234,13 @@ runK4(Cplx *amps, const Cplx m[16], std::size_t s1, std::size_t s2,
     }
 }
 
+/** Row r: the sum over its nonzeros, in column order, from 0. */
 void
-runGeneral(Cplx *amps, std::size_t k, const std::vector<std::size_t> &offset,
-           const std::vector<std::size_t> &row_begin,
-           const std::vector<std::size_t> &nz_col,
-           const std::vector<Cplx> &nz_val, std::size_t blocks,
-           const std::vector<int> &rest_dims,
-           const std::vector<std::size_t> &rest_str)
+runRows(Cplx *amps, std::size_t k, const std::size_t *offset,
+        const std::size_t *row_begin, const std::size_t *col,
+        const Cplx *val, std::size_t blocks, Odometer &odo)
 {
     std::vector<Cplx> in(k);
-    // Fresh local copy of the nonzero values: the caller's vector is a
-    // Cplx array the amplitude stores could alias, which would force a
-    // reload of every coefficient per block; a freshly allocated copy
-    // is provably disjoint.
-    const std::vector<Cplx> vals(nz_val);
-    Odometer odo(rest_dims, rest_str);
     std::size_t base = 0;
     for (std::size_t blk = 0; blk < blocks; ++blk) {
         for (std::size_t li = 0; li < k; ++li)
@@ -245,7 +249,7 @@ runGeneral(Cplx *amps, std::size_t k, const std::vector<std::size_t> &offset,
             Cplx acc = 0.0;
             for (std::size_t p = row_begin[row]; p < row_begin[row + 1];
                  ++p) {
-                acc += vals[p] * in[nz_col[p]];
+                acc += val[p] * in[col[p]];
             }
             amps[base + offset[row]] = acc;
         }
@@ -255,83 +259,97 @@ runGeneral(Cplx *amps, std::size_t k, const std::vector<std::size_t> &offset,
 
 } // namespace
 
-void
-MixedRadixState::applyUnitary(const std::vector<int> &units,
-                              const GateMatrix &u)
+PreparedGate
+MixedRadixState::prepare(const std::vector<int> &units,
+                         const GateMatrix &u) const
 {
     const std::size_t k = checkTargets(units, u);
+    PreparedGate g;
+    g.shape_ = dims_;
 
-    // Tabulate the gather offset of every local index once: the inner
-    // loops then index amps_ directly with no div/mod arithmetic.
-    std::vector<std::size_t> offset(k);
+    // Tabulate the gather offset of every local index once: the
+    // kernels then index the amplitudes directly, with no div/mod.
+    g.offset_.resize(k);
     {
-        std::vector<int> tdims(units.size());
-        std::vector<std::size_t> tstr(units.size());
-        for (std::size_t t = 0; t < units.size(); ++t) {
-            tdims[t] = dims_[units[t]];
-            tstr[t] = strides_[units[t]];
-        }
-        Odometer odo(tdims, tstr);
+        Odometer odo;
+        for (int unit : units)
+            odo.push(dims_[unit], strides_[unit]);
         std::size_t off = 0;
         for (std::size_t li = 0; li < k; ++li) {
-            offset[li] = off;
+            g.offset_[li] = off;
             odo.bump(off);
         }
     }
 
     // Complement units enumerate the untouched subspace.
-    std::vector<int> rest_dims;
-    std::vector<std::size_t> rest_str;
-    {
-        std::vector<bool> used(dims_.size(), false);
-        for (int unit : units)
-            used[unit] = true;
-        for (std::size_t w = 0; w < dims_.size(); ++w) {
-            if (!used[w]) {
-                rest_dims.push_back(dims_[w]);
-                rest_str.push_back(strides_[w]);
-            }
+    bool used[kMaxUnits] = {};
+    for (int unit : units)
+        used[unit] = true;
+    g.restDims_.reserve(dims_.size());
+    g.restStrides_.reserve(dims_.size());
+    for (std::size_t w = 0; w < dims_.size(); ++w) {
+        if (!used[w]) {
+            g.restDims_.push_back(dims_[w]);
+            g.restStrides_.push_back(strides_[w]);
         }
     }
-    const std::size_t blocks = size() / k;
-    Cplx *amps = amps_.data();
 
-    if (k == 2) {
-        runK2(amps, u[0][0], u[0][1], u[1][0], u[1][1], offset[1], blocks,
-              rest_dims, rest_str);
-        return;
+    const auto nonzero = [](const Cplx &v) { return v != Cplx(0.0); };
+    const std::size_t nnz = static_cast<std::size_t>(
+        std::count_if(u.data().begin(), u.data().end(), nonzero));
+    if (k == 2 || (k == 4 && nnz == 16)) {
+        g.kernel_ = PreparedGate::Kernel::Dense;
+        g.val_ = u.data();
+        return g;
     }
 
-    if (k == 4) {
-        Cplx m[16];
-        for (std::size_t r = 0; r < 4; ++r)
-            for (std::size_t c = 0; c < 4; ++c)
-                m[4 * r + c] = u[r][c];
-        runK4(amps, m, offset[1], offset[2], offset[3], blocks, rest_dims,
-              rest_str);
-        return;
-    }
-
-    // General kernel: compress the unitary's nonzero structure once
-    // (most physical gate classes are permutations, so row work is
-    // O(1) rather than O(k)), then gather / multiply / scatter.
-    std::vector<std::size_t> row_begin(k + 1, 0);
-    std::vector<std::size_t> nz_col;
-    std::vector<Cplx> nz_val;
-    nz_col.reserve(k * 2);
-    nz_val.reserve(k * 2);
+    // Compress the nonzero structure once: most physical gate classes
+    // are permutations, so row work is O(1) rather than O(k).
+    g.col_.reserve(nnz);
+    g.val_.reserve(nnz);
+    g.rowBegin_.reserve(k + 1);
+    g.rowBegin_.push_back(0);
     for (std::size_t row = 0; row < k; ++row) {
         const Cplx *urow = u[row];
         for (std::size_t col = 0; col < k; ++col) {
-            if (urow[col] != Cplx(0.0)) {
-                nz_col.push_back(col);
-                nz_val.push_back(urow[col]);
+            if (nonzero(urow[col])) {
+                g.col_.push_back(col);
+                g.val_.push_back(urow[col]);
             }
         }
-        row_begin[row + 1] = nz_col.size();
+        g.rowBegin_.push_back(g.col_.size());
     }
-    runGeneral(amps, k, offset, row_begin, nz_col, nz_val, blocks,
-               rest_dims, rest_str);
+    return g;
+}
+
+void
+MixedRadixState::apply(const PreparedGate &g)
+{
+    QPANIC_IF(g.shape_ != dims_,
+              "apply: gate prepared for a state of another shape");
+    const std::size_t k = g.dim();
+    const std::size_t blocks = size() / k;
+    Odometer odo;
+    for (std::size_t t = 0; t < g.restDims_.size(); ++t)
+        odo.push(g.restDims_[t], g.restStrides_[t]);
+    Cplx *amps = amps_.data();
+    switch (g.kernel_) {
+      case PreparedGate::Kernel::Dense:
+        (k == 2 ? runDense2 : runDense4)(amps, g.val_.data(),
+                                         g.offset_.data(), blocks, odo);
+        return;
+      case PreparedGate::Kernel::Rows:
+        runRows(amps, k, g.offset_.data(), g.rowBegin_.data(),
+                g.col_.data(), g.val_.data(), blocks, odo);
+        return;
+    }
+}
+
+void
+MixedRadixState::applyUnitary(const std::vector<int> &units,
+                              const GateMatrix &u)
+{
+    apply(prepare(units, u));
 }
 
 void

@@ -63,14 +63,54 @@ class GateMatrix
 bool isUnitary(const GateMatrix &u, double tol = 1e-9);
 
 /**
+ * A gate bound to one state shape, ready to be applied any number of
+ * times (see MixedRadixState::prepare). It holds the gather offset of
+ * every local index, the complement units' dims and strides, and the
+ * matrix in the form its kernel reads: every entry of a dense k = 2
+ * or k = 4 gate, or the nonzero entries row by row. Nothing in it
+ * grows with the state size. Immutable once built; one gate may be
+ * applied to several states of its shape, from several threads.
+ */
+class PreparedGate
+{
+  public:
+    /** Dimension k of the target space. */
+    std::size_t dim() const { return offset_.size(); }
+
+  private:
+    friend class MixedRadixState;
+
+    /** The kernel apply() runs: the dense product (k = 2, or k = 4
+     *  with no zero entry), or the nonzero entries row by row (every
+     *  other gate, e.g. the CX and SWAP classes' permutations). */
+    enum class Kernel { Dense, Rows };
+
+    Kernel kernel_ = Kernel::Rows;
+    /** Dims of the state it was prepared for. */
+    std::vector<int> shape_;
+    /** Gather offset of every local index (target 0 most significant). */
+    std::vector<std::size_t> offset_;
+    /** Dims and strides of the units the gate does not touch. */
+    std::vector<int> restDims_;
+    std::vector<std::size_t> restStrides_;
+    /** Rows: the column of each nonzero. */
+    std::vector<std::size_t> col_;
+    /** Rows: row r's nonzeros are [rowBegin_[r], rowBegin_[r + 1]). */
+    std::vector<std::size_t> rowBegin_;
+    /** Nonzero values, row by row (Dense: every entry). */
+    std::vector<Cplx> val_;
+};
+
+/**
  * Statevector over an ordered list of qudits with per-qudit dimension.
  *
  * Unit 0 is the most significant digit of the basis index (matching
  * the |q0 q1 ...> reading order used throughout).
  *
  * Thread-safety: distinct states are independent; one state must not
- * be mutated from two threads (applyUnitary parallelizes internally,
- * see below). The shard knobs are process-wide setup-time switches.
+ * be mutated from two threads. Every gate application runs on the
+ * calling thread, and a PreparedGate may be shared by threads that
+ * apply it to states of their own.
  */
 class MixedRadixState
 {
@@ -78,7 +118,9 @@ class MixedRadixState
     /** |0...0> over the given dimensions. */
     explicit MixedRadixState(std::vector<int> dims);
 
-    /** Product state: one normalized amplitude vector per unit. */
+    /** Product state: one normalized amplitude vector per unit. Each
+     *  amplitude is 1.0 times its units' entries, multiplied in unit
+     *  order (a Kronecker expansion, no per-amplitude digit math). */
     static MixedRadixState product(
         const std::vector<std::vector<Cplx>> &unit_states);
 
@@ -104,16 +146,26 @@ class MixedRadixState
     double norm() const;
 
     /**
-     * Apply @p u (dimension = product of the targets' dims, target 0
-     * most significant) to the listed units.
-     *
-     * The hot path: gather indices are tabulated once per call and the
-     * untouched subspace is enumerated by incremental stride bumps, so
-     * the per-amplitude inner loop performs no division or modulo.
-     * Single-qudit gates (k = 2 and k = 4) use unrolled kernels;
-     * larger gates run a sparsity-aware gather/scatter. Runs on the
-     * calling thread; not safe to call concurrently on one state.
+     * Bind @p u (dimension = product of the targets' dims, target 0
+     * most significant) to the listed units of this state's shape:
+     * tabulate its gather offsets and complement, and pick its kernel
+     * (k = 2 gates and k = 4 gates without a zero entry stay dense;
+     * the others keep only their nonzero entries, so a permutation
+     * costs one multiply per amplitude). Panics on a bad unit or a
+     * matrix of the wrong size.
      */
+    PreparedGate prepare(const std::vector<int> &units,
+                         const GateMatrix &u) const;
+
+    /**
+     * Apply a prepared gate. The complement subspace is enumerated by
+     * incremental stride bumps, so the per-amplitude inner loop does
+     * no division or modulo. Panics when @p g was prepared for a
+     * state of a different shape. Runs on the calling thread.
+     */
+    void apply(const PreparedGate &g);
+
+    /** apply(prepare(units, u)): for a gate applied once. */
     void applyUnitary(const std::vector<int> &units, const GateMatrix &u);
 
     /**

@@ -19,6 +19,7 @@
 #include "circuits/bv.hh"
 #include "circuits/graphs.hh"
 #include "circuits/qaoa.hh"
+#include "common/error.hh"
 #include "common/rng.hh"
 #include "compiler/pipeline.hh"
 #include "ir/passes.hh"
@@ -82,6 +83,101 @@ TEST(HotpathSim, PermutationGatesUseSparsePath)
     fast.applyUnitary({0, 1, 2}, perm);
     slow.applyUnitaryNaive({0, 1, 2}, perm);
     EXPECT_LE(bench::maxAmpDiff(fast, slow), 1e-12);
+}
+
+/** True iff every amplitude of @p a and @p b has the same bits. */
+bool
+bitIdentical(const MixedRadixState &a, const MixedRadixState &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.amplitudes().data(), b.amplitudes().data(),
+                       a.size() * sizeof(Cplx)) == 0;
+}
+
+TEST(HotpathSim, PreparedGateReusedAcrossStates)
+{
+    // One prepared gate applied to several states must do exactly what
+    // applyUnitary does on each, for every kernel and shape above:
+    // k = 2/3/4/8/16 (dense and permutation), non-adjacent targets,
+    // and a gate on all units (empty complement).
+    Rng rng(31);
+    struct Shape
+    {
+        std::vector<int> dims;
+        std::vector<int> units;
+        bool permutation;
+    };
+    const std::vector<Shape> shapes = {
+        {{2, 4, 2, 4, 3, 2, 4}, {0}, false},
+        {{2, 4, 2, 4, 3, 2, 4}, {4}, false},
+        {{2, 4, 2, 4, 3, 2, 4}, {1}, false},
+        {{2, 4, 2, 4, 3, 2, 4}, {1}, true},
+        {{2, 4, 2, 4, 3, 2, 4}, {2, 1}, false},
+        {{2, 4, 2, 4, 3, 2, 4}, {1, 3}, true},
+        {{2, 4, 2, 4, 3, 2, 4}, {0, 2, 5}, false},
+        {{2, 3, 4}, {0, 1, 2}, false},
+        {{2, 2, 2, 4}, {0, 1, 2}, true},
+    };
+    for (const Shape &sh : shapes) {
+        std::size_t k = 1;
+        for (int u : sh.units)
+            k *= static_cast<std::size_t>(sh.dims[u]);
+        GateMatrix u = bench::randomUnitary(k, rng);
+        if (sh.permutation) {
+            u = GateMatrix(k);
+            for (std::size_t i = 0; i < k; ++i)
+                u[(i + 3) % k][i] = 1.0;
+        }
+        std::vector<MixedRadixState> states;
+        for (int i = 0; i < 3; ++i)
+            states.push_back(bench::randomState(sh.dims, rng));
+        const PreparedGate g = states[0].prepare(sh.units, u);
+        EXPECT_EQ(g.dim(), k);
+        for (MixedRadixState &st : states) {
+            MixedRadixState direct = st;
+            direct.applyUnitary(sh.units, u);
+            MixedRadixState naive = st;
+            naive.applyUnitaryNaive(sh.units, u);
+            st.apply(g);
+            EXPECT_TRUE(bitIdentical(st, direct)) << "k = " << k;
+            EXPECT_LE(bench::maxAmpDiff(st, naive), 1e-12) << "k = " << k;
+        }
+    }
+}
+
+TEST(HotpathSim, PreparedGateRejectsOtherShapes)
+{
+    const MixedRadixState a({2, 4, 2});
+    const PreparedGate g = a.prepare({1}, GateMatrix::identity(4));
+    MixedRadixState same_size({4, 2, 2});
+    EXPECT_THROW(same_size.apply(g), PanicError);
+    MixedRadixState longer({2, 4, 2, 2});
+    EXPECT_THROW(longer.apply(g), PanicError);
+    MixedRadixState fits({2, 4, 2});
+    EXPECT_NO_THROW(fits.apply(g));
+}
+
+TEST(HotpathSim, ProductMatchesPerIndexProduct)
+{
+    // The Kronecker expansion multiplies each amplitude in unit order
+    // starting from 1.0, as a per-index digit walk does: bit for bit.
+    Rng rng(5);
+    const std::vector<int> dims = {4, 2, 3, 4, 2};
+    std::vector<std::vector<Cplx>> unit_states;
+    for (int d : dims) {
+        std::vector<Cplx> s;
+        for (int j = 0; j < d; ++j)
+            s.emplace_back(rng.nextGaussian(), rng.nextGaussian());
+        unit_states.push_back(std::move(s));
+    }
+    const MixedRadixState st = MixedRadixState::product(unit_states);
+    for (std::size_t idx = 0; idx < st.size(); ++idx) {
+        Cplx a = 1.0;
+        for (int u = 0; u < st.numUnits(); ++u)
+            a *= unit_states[u][st.digit(idx, u)];
+        const Cplx got = st.amp(idx);
+        ASSERT_EQ(std::memcmp(&got, &a, sizeof(Cplx)), 0) << idx;
+    }
 }
 
 TEST(HotpathMatrix, InPlaceOpsMatchOperators)

@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include "circuits/graphs.hh"
+#include "circuits/qaoa.hh"
 #include "circuits/registry.hh"
 #include "common/error.hh"
 #include "common/rng.hh"
 #include "compiler/pipeline.hh"
+#include "compiler/router.hh"
 #include "sim/equivalence.hh"
 #include "strategies/strategy.hh"
 
@@ -264,6 +267,105 @@ TEST(FailureInjection, EquivalenceCatchesWrongRotationAngle)
     }
     const auto rep = checkEquivalence(c, res.compiled);
     EXPECT_FALSE(rep.ok);
+}
+
+// The cases above use qubit_only, so every unit is bare. These break
+// encoded artifacts from the ququart strategies instead.
+
+struct EncodedArtifact
+{
+    Circuit circuit;
+    CompileResult result;
+};
+
+/** A 6-qubit QAOA ring (rotations and CX on every qubit), compiled by
+ *  @p strategy; it must come out with encoded units and pass. */
+EncodedArtifact
+encodedArtifact(const std::string &strategy)
+{
+    Graph g(6);
+    for (int v = 0; v < 6; ++v)
+        g.addEdge(v, (v + 1) % 6);
+    Circuit c = qaoaFromGraph(g);
+    CompileResult res =
+        makeStrategy(strategy)->compile(c, Topology::grid(9), kLib);
+    EXPECT_GT(res.compiled.initialLayout().numEncodedUnits(), 0)
+        << strategy;
+    EXPECT_TRUE(checkEquivalence(c, res.compiled).ok) << strategy;
+    return {std::move(c), std::move(res)};
+}
+
+const char *const kEncodedStrategies[] = {"eqm", "pp", "fq"};
+
+TEST(FailureInjection, EquivalenceCatchesDroppedGateOnEncodedUnit)
+{
+    for (const char *s : kEncodedStrategies) {
+        EncodedArtifact a = encodedArtifact(s);
+        auto &gates = a.result.compiled.mutableGates();
+        // The first program gate (no routing, no ENC/DEC move) that
+        // acts on a unit encoded when it runs.
+        Layout layout = a.result.compiled.initialLayout();
+        std::size_t at = gates.size();
+        for (std::size_t i = 0; i < gates.size() && at == gates.size();
+             ++i) {
+            const PhysGate &g = gates[i];
+            const bool program = g.sourceGate >= 0 &&
+                                 g.cls != PhysGateClass::Encode &&
+                                 g.cls != PhysGateClass::Decode;
+            for (UnitId u : g.units()) {
+                if (program && layout.unitEncoded(u))
+                    at = i;
+            }
+            advanceLayout(layout, g);
+        }
+        ASSERT_LT(at, gates.size()) << s;
+        gates.erase(gates.begin() + static_cast<std::ptrdiff_t>(at));
+        EXPECT_FALSE(checkEquivalence(a.circuit, a.result.compiled).ok)
+            << s;
+    }
+}
+
+TEST(FailureInjection, EquivalenceCatchesSwappedEncodedPair)
+{
+    for (const char *s : kEncodedStrategies) {
+        EncodedArtifact a = encodedArtifact(s);
+        Layout fin = a.result.compiled.finalLayout();
+        UnitId unit = kInvalid;
+        for (UnitId u = 0; u < fin.numUnits() && unit == kInvalid; ++u) {
+            if (fin.unitEncoded(u))
+                unit = u;
+        }
+        ASSERT_NE(unit, kInvalid) << s;
+        fin.swapSlots(makeSlot(unit, 0), makeSlot(unit, 1));
+        a.result.compiled.setFinalLayout(fin);
+        EXPECT_FALSE(checkEquivalence(a.circuit, a.result.compiled).ok)
+            << s;
+    }
+}
+
+TEST(FailureInjection, EquivalenceCatchesWrongAngleOnPosition1)
+{
+    for (const char *s : kEncodedStrategies) {
+        EncodedArtifact a = encodedArtifact(s);
+        // A rotation on encode position 1: SqEnc1's own, or a fused
+        // SqEncBoth's second (position-1) gate.
+        bool changed = false;
+        for (PhysGate &g : a.result.compiled.mutableGates()) {
+            if (changed)
+                break;
+            if (g.cls == PhysGateClass::SqEnc1 && gateHasParam(g.logical)) {
+                g.param += 0.4;
+                changed = true;
+            } else if (g.cls == PhysGateClass::SqEncBoth &&
+                       gateHasParam(g.logical2)) {
+                g.param2 += 0.4;
+                changed = true;
+            }
+        }
+        ASSERT_TRUE(changed) << s;
+        EXPECT_FALSE(checkEquivalence(a.circuit, a.result.compiled).ok)
+            << s;
+    }
 }
 
 // ---------------------------------------------------------------------
