@@ -13,14 +13,12 @@
  * compiles vs parameter rebinds across a 20-point QAOA-40/heavyHex65
  * angle grid at 1/2/4/8 lanes), and the persistence tier (cold
  * compiles vs a disk-warm restart vs warm memo over the same request
- * catalog), and the device registry (strategy x zoo-device sweep via
- * CompileRequest::forDevice, with per-device timings and a totalEps
- * results table) -- against the retained
- * naive/uncached/serial reference paths in the same binary,
- * and emits machine-readable JSON with a "host" metadata object
- * (nproc, QOMPRESS_THREADS, build type) so snapshots from different
- * machines stay interpretable (the BENCH_*.json trajectory; compare
- * runs with tools/bench_diff.py --regress-threshold).
+ * catalog) -- against the retained naive/uncached/serial reference
+ * paths in the same binary. It prints one JSON document on stdout,
+ * with a "host" object (nproc, QOMPRESS_THREADS, build type);
+ * tools/bench_diff.py runs it on two checkouts in alternating pairs
+ * and judges each *_ms section that times a shipped path (not the
+ * naive/uncached/Taylor references) with perfbench's A/B verdict.
  *
  * Flags:
  *   --check      differential mode: assert optimized kernels agree
@@ -42,17 +40,10 @@
  *                by >= the rebind margin, and that a disk-warm
  *                restart decodes artifacts bit-identical to direct
  *                compiles while serving the catalog >= the
- *                persistence margin faster than cold compiles, and
- *                that registry-resolved device compiles are
- *                bit-identical to direct compiles on the registry
- *                topology, a neutral uniform calibration is
- *                bit-identical to no calibration, and a calibration
- *                install re-keys exactly its device (stale miss,
- *                fresh hit, unrelated warm hit, counter partition
- *                intact); exits nonzero on violation.
- *                Registered under ctest label "bench".
- *   --quick      smaller repetition counts.
- *   --out=FILE   also write the JSON to FILE.
+ *                persistence margin faster than cold compiles; exits
+ *                nonzero on violation. Registered under ctest label
+ *                "bench".
+ *   --quick      smaller workloads and fewer repetitions.
  */
 
 #include <unistd.h>
@@ -389,7 +380,7 @@ benchQaoaHeavyHex(int reps, int rounds, Report &rep, Checks &checks)
  * (highest score wins, ties to the lowest candidate index).
  */
 void
-benchExhaustive(int qubits, Report &rep, Checks &checks)
+benchExhaustive(int qubits, int reps, Report &rep, Checks &checks)
 {
     const Circuit qaoa =
         decomposeToNativeGates(qaoaFromGraph(randomGraph(qubits, 0.4, 11)));
@@ -397,13 +388,13 @@ benchExhaustive(int qubits, Report &rep, Checks &checks)
     const GateLibrary lib;
     const ExhaustiveStrategy ec;
 
-    auto run = [&](int lanes, double &ms) {
+    auto run = [&](int lanes, SectionTimer &timer) {
         CompilerConfig cfg;
         cfg.lookaheadWeight = 0.5;
         cfg.threads = lanes;
         CompileContext ctx(topo, lib, cfg);
         std::vector<Compression> pairs;
-        ms = SectionTimer().time(
+        timer.time(
             [&] { pairs = ec.choosePairs(qaoa, topo, lib, cfg, ctx); });
         return pairs;
     };
@@ -411,22 +402,28 @@ benchExhaustive(int qubits, Report &rep, Checks &checks)
     // Discarded warmups: lanes=0 constructs and warms the process
     // pool (the one a run whose lane count equals the process default
     // will reuse) and lanes=8 pays allocator growth and cold caches on
-    // the private-pool path, so the serial baseline that follows does
-    // not absorb one-time process costs. A timed run whose lane count
-    // differs from the process default still spawns its private pool
-    // inside choosePairs — lanes-1 thread spawns, well under 1% of
-    // the ~90 ms workload.
-    double ms[std::size(kLanes)];
-    run(0, ms[0]);
-    run(8, ms[0]);
-    const auto serial = run(1, ms[0]);
+    // the private-pool path, so the timed passes that follow do not
+    // absorb one-time process costs; the serial warm-up's pairing is
+    // the reference every timed pass must reproduce. A timed run whose
+    // lane count differs from the process default still spawns its
+    // private pool inside choosePairs — lanes-1 thread spawns, well
+    // under 1% of the ~90 ms workload. Each round times every lane
+    // count once, so a slow phase of the host spreads over all of them.
+    SectionTimer warmup, lane_timers[std::size(kLanes)];
+    run(0, warmup);
+    run(8, warmup);
+    const auto serial = run(1, warmup);
     bool identical = true;
-    rep.add("exhaustive_hh_serial_ms", ms[0]);
-    for (std::size_t i = 1; i < std::size(kLanes); ++i) {
-        identical = run(kLanes[i], ms[i]) == serial && identical;
-        rep.add("exhaustive_hh_" + laneName(kLanes[i]) + "_ms", ms[i]);
+    for (int r = 0; r < reps; ++r) {
+        for (std::size_t i = 0; i < std::size(kLanes); ++i)
+            identical = run(kLanes[i], lane_timers[i]) == serial && identical;
     }
-    rep.add("exhaustive_hh_speedup_t4", speedup(ms[0], ms[2]), "%.3f");
+    for (std::size_t i = 0; i < std::size(kLanes); ++i) {
+        rep.add("exhaustive_hh_" + laneName(kLanes[i]) + "_ms",
+                lane_timers[i].ms());
+    }
+    rep.add("exhaustive_hh_speedup_t4",
+            speedup(lane_timers[0].ms(), lane_timers[2].ms()), "%.3f");
     rep.add("exhaustive_hh_pairs", static_cast<std::uint64_t>(serial.size()));
     rep.add("exhaustive_hh_identical", identical);
     checks.expect(identical,
@@ -464,7 +461,7 @@ sameRecords(const std::vector<SweepRecord> &a,
  * be bit-identical whatever the lane count.
  */
 void
-benchSweep(int sizes_hi, Report &rep, Checks &checks)
+benchSweep(int sizes_hi, int reps, Report &rep, Checks &checks)
 {
     SweepSpec spec;
     spec.families = {"bv", "qaoa_random"};
@@ -472,30 +469,36 @@ benchSweep(int sizes_hi, Report &rep, Checks &checks)
     spec.strategies = {"qubit_only", "eqm", "rb", "awe", "pp"};
     spec.config.lookaheadWeight = 0.5;
 
-    auto run = [&](int lanes, double &ms) {
+    auto run = [&](int lanes, SectionTimer &timer) {
         spec.threads = lanes;
         std::vector<SweepRecord> records;
-        ms = SectionTimer().time([&] { records = runSweep(spec); });
+        timer.time([&] { records = runSweep(spec); });
         return records;
     };
 
-    // Discarded warm-up: pays allocator growth, cold code paths, and
+    // Discarded warm-ups: pay allocator growth, cold code paths, and
     // (when 8 happens to be the process default) the global pool's
-    // spawn. Lane counts that differ from the process default still
-    // construct and join their private pool inside each timed run —
-    // lanes-1 thread spawns, which is real overhead the lane timings
-    // deliberately include (it is what a caller of that lane count
-    // pays per sweep).
-    double ms[std::size(kLanes)];
-    run(8, ms[0]);
-    const auto serial = run(1, ms[0]);
+    // spawn; the serial one's records are the reference every timed
+    // pass must reproduce. Lane counts that differ from the process
+    // default still construct and join their private pool inside each
+    // timed run — lanes-1 thread spawns, which is real overhead the
+    // lane timings deliberately include (it is what a caller of that
+    // lane count pays per sweep). Rounds interleave the lane counts,
+    // as in the exhaustive section.
+    SectionTimer warmup, lane_timers[std::size(kLanes)];
+    run(8, warmup);
+    const auto serial = run(1, warmup);
     bool identical = true;
-    rep.add("sweep_serial_ms", ms[0]);
-    for (std::size_t i = 1; i < std::size(kLanes); ++i) {
-        identical = sameRecords(serial, run(kLanes[i], ms[i])) && identical;
-        rep.add("sweep_" + laneName(kLanes[i]) + "_ms", ms[i]);
+    for (int r = 0; r < reps; ++r) {
+        for (std::size_t i = 0; i < std::size(kLanes); ++i) {
+            identical = sameRecords(serial, run(kLanes[i], lane_timers[i])) &&
+                        identical;
+        }
     }
-    rep.add("sweep_speedup_t4", speedup(ms[0], ms[2]), "%.3f");
+    for (std::size_t i = 0; i < std::size(kLanes); ++i)
+        rep.add("sweep_" + laneName(kLanes[i]) + "_ms", lane_timers[i].ms());
+    rep.add("sweep_speedup_t4",
+            speedup(lane_timers[0].ms(), lane_timers[2].ms()), "%.3f");
     rep.add("sweep_cells", static_cast<std::uint64_t>(serial.size()));
     rep.add("sweep_identical", identical);
     checks.expect(identical,
@@ -1008,122 +1011,6 @@ benchPersist(int reps, int sizes_hi, Report &rep, Checks &checks)
                          median_speedup));
 }
 
-/**
- * The device-registry workload: a strategy x zoo-device sweep, every
- * request resolved by name through CompileRequest::forDevice (registry
- * topology + current calibration). Each cell is timed cold and its
- * totalEps lands in the results table -- the per-device counterpart of
- * the figure sweeps, over topologies from 23 to 127 units. The
- * differential legs pin the subsystem's two contracts: resolution is
- * free of semantic drift (registry compiles bit-identical to direct
- * compiles on the registry topology; a neutral uniform calibration
- * bit-identical to none), and a calibration install re-keys exactly
- * its own device (stale miss then fresh hit, the unrelated device's
- * warm entry survives, the counter partition stays intact).
- */
-void
-benchDevices(int reps, Report &rep, Checks &checks)
-{
-    const GateLibrary lib;
-    CompilerConfig cfg;
-    cfg.lookaheadWeight = 0.5;
-    const Circuit circuit = bernsteinVazirani(16);
-    const char *strategies[] = {"eqm", "rb", "awe"};
-    const char *devices[] = {"falcon27",    "heavyhex23", "heavyhex65",
-                             "heavyhex127", "ring65",     "grid64"};
-
-    bool identical = true;
-    CompilerService service;
-    for (const char *dev : devices) {
-        const Device d = service.devices().get(dev);
-        for (const char *strat : strategies) {
-            SectionTimer cell;
-            CompileArtifact art;
-            for (int r = 0; r < reps; ++r) {
-                service.clearCache();
-                cell.time([&] {
-                    art = service.compileSync(CompileRequest::forDevice(
-                        circuit, dev, strat, cfg, lib));
-                });
-            }
-            const CompileResult direct = makeStrategy(strat)->compile(
-                circuit, d.topology, lib, cfg);
-            identical = identical && sameCompileResults(*art, direct);
-            const std::string cell_name =
-                std::string("device_") + dev + "_" + strat;
-            rep.add(cell_name + "_ms", cell.ms());
-            rep.add(cell_name + "_eps", art->metrics.totalEps, "%.6f");
-        }
-    }
-
-    // Neutral-calibration differential: a uniform record carrying the
-    // library constants (zero readout, no edge scales) must price
-    // every gate exactly like no calibration at all.
-    bool neutral_identical = false;
-    {
-        const Device d = service.devices().get("heavyhex65");
-        CompilerConfig neutral = cfg;
-        neutral.calibration =
-            std::make_shared<const DeviceCalibration>(
-                DeviceCalibration::uniform(
-                    d.topology.name(), d.topology.numUnits(),
-                    GateLibrary::kT1QubitNs,
-                    GateLibrary::kT1QuquartNs));
-        const CompileResult plain = makeStrategy("eqm")->compile(
-            circuit, d.topology, lib, cfg);
-        const CompileResult cal = makeStrategy("eqm")->compile(
-            circuit, d.topology, lib, neutral);
-        neutral_identical =
-            sameCompileResults(plain, cal) &&
-            plain.metrics.readoutEps == cal.metrics.readoutEps;
-    }
-
-    // Invalidation differential on a fresh service (clean counters):
-    // warm two devices, install a calibration on one, and read the
-    // exact miss/hit trajectory off the counters.
-    ServiceStats st;
-    {
-        CompilerService svc;
-        auto req = [&](const char *dev) {
-            return CompileRequest::forDevice(circuit, dev, "eqm", cfg,
-                                             lib);
-        };
-        svc.compileSync(req("falcon27")); // miss (cold)
-        svc.compileSync(req("ring65"));   // miss (cold)
-        svc.compileSync(req("falcon27")); // hit  (warm)
-        svc.devices().setCalibration(
-            "falcon27",
-            DeviceCalibration::uniform("falcon27", 27, 100000.0,
-                                       30000.0, 0.01));
-        svc.compileSync(req("falcon27")); // miss (stale key)
-        svc.compileSync(req("falcon27")); // hit  (fresh entry)
-        svc.compileSync(req("ring65"));   // hit  (unrelated survives)
-        st = svc.stats();
-    }
-    const bool invalidation_ok = st.misses == 3 && st.hits == 3;
-    const bool partition_ok = st.requests == st.hits + st.templateHits +
-                                                 st.diskHits + st.misses +
-                                                 st.coalesced;
-
-    rep.add("device_zoo_count", static_cast<std::uint64_t>(std::size(devices)));
-    rep.add("device_registry_identical", identical);
-    rep.add("device_neutral_identical", neutral_identical);
-    rep.add("device_invalidation_ok", invalidation_ok);
-    rep.add("device_partition_ok", partition_ok);
-    checks.expect(identical,
-                  "registry-resolved device compiles are bit-identical "
-                  "to direct compiles on the registry topology");
-    checks.expect(neutral_identical,
-                  "a neutral uniform calibration compiles bit-identical "
-                  "to no calibration");
-    checks.expect(invalidation_ok,
-                  "a calibration install re-keys exactly its device: "
-                  "stale miss, fresh hit, unrelated warm hit");
-    checks.expect(partition_ok,
-                  "the service counter partition holds across "
-                  "calibration updates");
-}
-
 } // namespace
 
 int
@@ -1131,19 +1018,20 @@ main(int argc, char **argv)
 {
     const auto args = bench::parseArgs(argc, argv);
     const bool check = args.has("--check");
-    std::string out_path;
-    for (const auto &e : args.extra) {
-        if (e.rfind("--out=", 0) == 0)
-            out_path = e.substr(6);
-    }
 
+    // Outside --check every section times at least five windows per
+    // run: in tools/bench_diff.py's A/B of one commit against itself,
+    // sections timed in one to three windows per --quick run read
+    // "worse".
     const int sim_reps = check ? 3 : (args.quick ? 10 : 40);
     const int grape_reps = check ? 2 : (args.quick ? 5 : 20);
-    const int route_reps = check ? 1 : (args.quick ? 3 : 10);
-    const int qaoa_reps = check ? 1 : (args.quick ? 2 : 5);
+    const int route_reps = check ? 1 : (args.quick ? 20 : 50);
+    const int qaoa_reps = check ? 1 : (args.quick ? 6 : 10);
     const int qaoa_rounds = check ? 1 : 3;
     const int exh_qubits = check ? 6 : (args.quick ? 8 : 12);
+    const int exh_reps = check ? 1 : 5;
     const int sweep_hi = check ? 10 : (args.quick ? 10 : 14);
+    const int sweep_reps = check ? 1 : 5;
     const int grape_lane_reps = check ? 3 : (args.quick ? 5 : 20);
     // The Padé/Taylor ratio gates --check, so keep its rep count high
     // enough to be stable even there (~tens of ms per path).
@@ -1151,12 +1039,12 @@ main(int argc, char **argv)
     // The warm/cold service ratio also gates --check; the margin is
     // wide (kServiceWarmMargin vs a real ~100x), so small rep counts
     // stay safe.
-    const int service_reps = check ? 2 : (args.quick ? 2 : 4);
+    const int service_reps = check ? 2 : 5;
     const int service_hi = check ? 10 : (args.quick ? 12 : 14);
     // The rebind/cold ratio gates --check; the margin is wide
     // (kTemplateRebindMargin vs a real ~100x on this workload), so
     // small rep counts and fewer rounds stay safe.
-    const int template_reps = check ? 1 : (args.quick ? 2 : 3);
+    const int template_reps = check ? 1 : 5;
     const int template_rounds = check ? 1 : 2;
     const int template_angles = 20;
     // The disk-warm/cold ratio gates --check on medians, so --check
@@ -1164,17 +1052,11 @@ main(int argc, char **argv)
     // rep. The margin is kPersistDiskWarmMargin against a real ~9x
     // on a 4-core host (a ~0.5 ms decode pass against ~4.7 ms of
     // compiles).
-    const int persist_reps = check ? 7 : (args.quick ? 2 : 4);
+    const int persist_reps = check ? 7 : 5;
     // Must differ from the grid's base size (12) in every mode: equal
     // sizes would collapse the catalog to duplicate keys, which the
     // write-behind dedup guard would surface as disk_writes < requests.
     const int persist_hi = args.quick || check ? 16 : 18;
-    // The device sweep's gates are identity differentials, not timing
-    // ratios, so one rep suffices under --check. Timed modes rep
-    // higher than the other sections: the cells are ~1 ms compiles,
-    // cheap enough that averaging down the timer noise costs little,
-    // and the device_ section gates at 10% in CI.
-    const int device_reps = check ? 1 : (args.quick ? 5 : 10);
 
     Report rep("hotpaths");
     Checks checks;
@@ -1182,19 +1064,16 @@ main(int argc, char **argv)
     benchGrape(grape_reps, rep, checks);
     benchRouting(route_reps, rep, checks);
     benchQaoaHeavyHex(qaoa_reps, qaoa_rounds, rep, checks);
-    benchExhaustive(exh_qubits, rep, checks);
-    benchSweep(sweep_hi, rep, checks);
+    benchExhaustive(exh_qubits, exh_reps, rep, checks);
+    benchSweep(sweep_hi, sweep_reps, rep, checks);
     benchGrapeLanes(grape_lane_reps, rep, checks);
     benchPade(pade_reps, rep, checks);
     benchService(service_reps, service_hi, rep, checks);
     benchTemplate(template_reps, template_rounds, template_angles, rep,
                   checks);
     benchPersist(persist_reps, persist_hi, rep, checks);
-    benchDevices(device_reps, rep, checks);
 
     std::cout << rep.json();
-    if (!out_path.empty() && !rep.save(out_path))
-        return 1;
     if (check)
         return checks.print() == 0 ? 0 : 1;
     return 0;

@@ -1,8 +1,7 @@
 /**
  * @file
- * Closed- and open-loop traffic generator for qompressd: the standing
- * production-scale benchmark the roadmap's "millions of users" north
- * star asks for.
+ * Closed- and open-loop traffic generator for qompressd: the
+ * end-to-end acceptance smoke over real sockets.
  *
  * Traffic mixes (all over real sockets, keep-alive connections):
  *
@@ -14,7 +13,7 @@
  *    random rotation angles per request — every request is an exact-
  *    tier NEAR-miss that the template tier must serve by rebind.
  *  - Burst (open-loop-ish) arrivals: fixed-size back-to-back volleys
- *    separated by idle gaps, reported as tail latency.
+ *    separated by idle gaps.
  *  - Malformed mix: adversarial QASM and raw-garbage HTTP; each must
  *    come back as a structured 4xx while the server keeps serving.
  *  - Fault scenario: a dedicated store-backed server is driven
@@ -24,18 +23,16 @@
  *    clear, flip /healthz through ok -> degraded -> draining, and
  *    leave a log a cold restart fully recovers.
  *
- * Emits bench_diff.py-compatible JSON through bench::Report
- * ("loadgen_" sections; the *_ms wall-clock timings are the gated
- * metrics, tail latencies are reported in _us as informational).
- * --check asserts the acceptance invariants: zero 5xx, zero transport
+ * It times nothing: perfbench (perfbench/README.md) measures these
+ * request paths. It prints its acceptance invariants as PASS:/FAIL:
+ * lines and exits nonzero when one fails: zero 5xx, zero transport
  * errors, templateHits > 0 from the sweep mix, the ServiceStats
  * partition (requests == hits + templateHits + diskHits + misses +
  * coalesced), liveness after the malformed mix, and the fault
  * scenario's degrade/recover trajectory.
  *
  * Usage:
- *   bench_loadgen [--quick] [--check] [--out=FILE]
- *                 [--connect=HOST:PORT] [--conns=N] [--seed=N]
+ *   bench_loadgen [--connect=HOST:PORT] [--conns=N] [--seed=N]
  *
  * Without --connect an in-process qompressd is booted on an ephemeral
  * loopback port (still real sockets), so the bench is self-contained;
@@ -65,23 +62,17 @@
 #include "common/rng.hh"
 #include "common/strings.hh"
 #include "ir/circuit.hh"
-#include "server/histogram.hh"
 #include "server/http.hh"
 #include "server/server.hh"
 #include "service/artifact_store.hh"
 
 using namespace qompress;
 using bench::Checks;
-using bench::Report;
-using bench::SectionTimer;
 
 namespace {
 
 struct Args
 {
-    bool quick = false;
-    bool check = false;
-    std::string out;
     std::string host;
     int port = 0;
     int conns = 0;
@@ -94,13 +85,7 @@ parseArgs(int argc, char **argv)
     Args a;
     for (int i = 1; i < argc; ++i) {
         const std::string s = argv[i];
-        if (s == "--quick") {
-            a.quick = true;
-        } else if (s == "--check") {
-            a.check = true;
-        } else if (s.rfind("--out=", 0) == 0) {
-            a.out = s.substr(6);
-        } else if (s.rfind("--connect=", 0) == 0) {
+        if (s.rfind("--connect=", 0) == 0) {
             const std::string hp = s.substr(10);
             const auto colon = hp.find(':');
             if (colon == std::string::npos) {
@@ -302,13 +287,14 @@ main(int argc, char **argv)
 {
     const Args args = parseArgs(argc, argv);
 
-    const int conns =
-        args.conns > 0 ? args.conns : (args.quick ? 2 : 4);
-    const int zipf_requests = args.quick ? 120 : 800;
-    const int sweep_requests = args.quick ? 60 : 300;
-    const int bursts = args.quick ? 4 : 16;
-    const int burst_size = args.quick ? 8 : 20;
-    const int burst_gap_ms = args.quick ? 10 : 25;
+    // Enough traffic for every tier and invariant to show, small
+    // enough for a ctest.
+    const int conns = args.conns > 0 ? args.conns : 2;
+    const int zipf_requests = 120;
+    const int sweep_requests = 60;
+    const int bursts = 4;
+    const int burst_size = 8;
+    const int burst_gap_ms = 10;
 
     // Boot an in-process server unless pointed at an external one.
     std::unique_ptr<QompressServer> own;
@@ -317,7 +303,7 @@ main(int argc, char **argv)
     if (host.empty()) {
         ServerOptions opts;
         opts.port = 0;
-        opts.workers = args.quick ? 2 : 4;
+        opts.workers = 2;
         opts.maxQueue = 128;
         own = std::make_unique<QompressServer>(opts);
         own->start();
@@ -356,8 +342,6 @@ main(int argc, char **argv)
         benchmarkFamily("qaoa_random").make(12);
 
     Tally tally;
-    LatencyHistogram latency;
-    Report rep("loadgen");
     Checks checks;
 
     // ----------------------------------------------------------- warmup
@@ -374,31 +358,27 @@ main(int argc, char **argv)
     }
     const std::string before =
         (warm.request(get("/metrics"), status, body), body);
-    SectionTimer warmup;
-    warmup.time([&] {
-        for (const std::string &p : payloads) {
-            warm.request(p, status, body);
-            tally.count(true, status);
-        }
+    for (const std::string &p : payloads) {
+        warm.request(p, status, body);
+        tally.count(true, status);
+    }
+    {
         Rng rng(args.seed);
         warm.request(postCompile(rerollAngles(sweepBase, rng).toQasm()),
                      status, body);
         tally.count(true, status);
-        warm.request(get("/compile?family=bv&sizes=12,16"), status, body);
-        tally.count(true, status);
-    });
-    rep.add("loadgen_warmup_cold_ms", warmup.ms(), "%.2f");
+    }
+    warm.request(get("/compile?family=bv&sizes=12,16"), status, body);
+    tally.count(true, status);
 
     // -------------------------------------------------------- zipf mix
-    SectionTimer zipf;
-    zipf.time([&] {
+    {
         std::vector<std::thread> threads;
         for (int c = 0; c < conns; ++c) {
             threads.emplace_back([&, c] {
                 Client client(host, port,
                               args.seed + 100 + static_cast<unsigned>(c));
                 Rng rng(args.seed + 1000 + static_cast<unsigned>(c));
-                SectionTimer requests;
                 const int mine = zipf_requests / conns +
                                  (c < zipf_requests % conns ? 1 : 0);
                 for (int i = 0; i < mine; ++i) {
@@ -409,35 +389,26 @@ main(int argc, char **argv)
                         ++pick;
                     int st = 0;
                     std::string b;
-                    bool sent = false;
-                    latency.record(1000.0 * requests.time([&] {
-                        sent = client.requestWithRetry(payloads[pick], st,
-                                                       b);
-                    }));
+                    const bool sent =
+                        client.requestWithRetry(payloads[pick], st, b);
                     tally.count(sent, st);
                 }
             });
         }
         for (std::thread &t : threads)
             t.join();
-    });
-    rep.add("loadgen_zipf_warm_ms", zipf.ms(), "%.2f");
-    rep.add("loadgen_throughput_rps",
-            zipf.ms() > 0.0 ? 1000.0 * zipf_requests / zipf.ms() : 0.0,
-            "%.1f");
+    }
 
     // ------------------------------------------------------- sweep mix
     // Unique angles per request: exact-tier misses the template tier
     // must absorb as rebinds.
-    SectionTimer sweep;
-    sweep.time([&] {
+    {
         std::vector<std::thread> threads;
         for (int c = 0; c < conns; ++c) {
             threads.emplace_back([&, c] {
                 Client client(host, port,
                               args.seed + 200 + static_cast<unsigned>(c));
                 Rng rng(args.seed + 2000 + static_cast<unsigned>(c));
-                SectionTimer requests;
                 const int mine = sweep_requests / conns +
                                  (c < sweep_requests % conns ? 1 : 0);
                 for (int i = 0; i < mine; ++i) {
@@ -445,23 +416,18 @@ main(int argc, char **argv)
                         rerollAngles(sweepBase, rng).toQasm());
                     int st = 0;
                     std::string b;
-                    bool sent = false;
-                    latency.record(1000.0 * requests.time([&] {
-                        sent = client.requestWithRetry(p, st, b);
-                    }));
+                    const bool sent = client.requestWithRetry(p, st, b);
                     tally.count(sent, st);
                 }
             });
         }
         for (std::thread &t : threads)
             t.join();
-    });
-    rep.add("loadgen_sweep_warm_ms", sweep.ms(), "%.2f");
+    }
 
     // ---------------------------------------------------- burst arrivals
     // Idle gap, then a volley: the arrival shape that exposes queueing
-    // tails a closed loop hides.
-    LatencyHistogram burstLatency;
+    // a closed loop hides.
     {
         std::vector<std::thread> threads;
         for (int c = 0; c < conns; ++c) {
@@ -469,7 +435,6 @@ main(int argc, char **argv)
                 Client client(host, port,
                               args.seed + 300 + static_cast<unsigned>(c));
                 Rng rng(args.seed + 3000 + static_cast<unsigned>(c));
-                SectionTimer requests;
                 for (int b = 0; b < bursts; ++b) {
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(burst_gap_ms));
@@ -478,13 +443,8 @@ main(int argc, char **argv)
                             rng.nextUint(payloads.size());
                         int st = 0;
                         std::string bd;
-                        bool sent = false;
-                        const double us = 1000.0 * requests.time([&] {
-                            sent = client.requestWithRetry(payloads[pick],
-                                                           st, bd);
-                        });
-                        latency.record(us);
-                        burstLatency.record(us);
+                        const bool sent = client.requestWithRetry(
+                            payloads[pick], st, bd);
                         tally.count(sent, st);
                     }
                 }
@@ -556,28 +516,6 @@ main(int argc, char **argv)
     const double server_5xx = scrape(after, "server", "serverErrors");
     const double server_p99 = scrape(after, "latency", "p99_us");
 
-    const LatencyHistogram::Snapshot lat = latency.snapshot();
-    const LatencyHistogram::Snapshot blat = burstLatency.snapshot();
-    const std::uint64_t total =
-        tally.ok.load() + tally.c4xx.load() + tally.c5xx.load();
-    rep.add("loadgen_requests", total);
-    rep.add("loadgen_http_200", tally.ok.load());
-    rep.add("loadgen_http_4xx", tally.c4xx.load());
-    rep.add("loadgen_http_5xx", tally.c5xx.load());
-    rep.add("loadgen_transport_errors", tally.transport.load());
-    rep.add("loadgen_p50_us", lat.p50_us, "%.1f");
-    rep.add("loadgen_p99_us", lat.p99_us, "%.1f");
-    rep.add("loadgen_max_us", lat.max_us, "%.1f");
-    rep.add("loadgen_burst_p50_us", blat.p50_us, "%.1f");
-    rep.add("loadgen_burst_p99_us", blat.p99_us, "%.1f");
-    rep.add("loadgen_memo_hits", d_hits, "%.0f");
-    rep.add("loadgen_template_hits", d_template, "%.0f");
-    rep.add("loadgen_misses", d_misses, "%.0f");
-    rep.add("loadgen_coalesced", d_coalesced, "%.0f");
-    rep.add("loadgen_shed", scrape(after, "server", "shed"), "%.0f");
-    rep.add("loadgen_server_p99_us", server_p99, "%.1f");
-    rep.add("loadgen_conns", static_cast<std::uint64_t>(conns));
-
     checks.expect(tally.c5xx.load() == 0, "zero 5xx responses observed");
     checks.expect(tally.transport.load() == 0, "zero transport errors");
     checks.expect(server_5xx == 0.0, "server counted zero 5xx");
@@ -594,7 +532,6 @@ main(int argc, char **argv)
                   "malformed requests got structured errors and the "
                   "server kept serving");
     checks.expect(server_p99 > 0.0, "server-side p99 latency reported");
-    checks.expect(lat.p99_us > 0.0, "client-side p99 latency reported");
 
     // ------------------------------------------------- fault scenario
     // A dedicated store-backed server (always in-process, even under
@@ -602,7 +539,7 @@ main(int argc, char **argv)
     // through a disk-fault episode. Requests are full=1 with unique
     // angles so every one bypasses the template tier and must talk to
     // the disk tier -- the traffic shape that exercises the breaker.
-    const int fault_phase = args.quick ? 24 : 60;
+    const int fault_phase = 24;
     {
         const std::string storePath =
             format("/tmp/qompress_loadgen_fault_%d.qst",
@@ -658,9 +595,6 @@ main(int argc, char **argv)
             std::string b;
             fc.request(get("/metrics"), st, b);
             const double storeErrors = scrape(b, "service", "storeErrors");
-            rep.add("loadgen_fault_store_errors", storeErrors, "%.0f");
-            rep.add("loadgen_fault_degraded_skips",
-                    scrape(b, "service", "degradedSkips"), "%.0f");
             checks.expect(storeErrors > 0.0,
                           "fault scenario: /metrics surfaced storeErrors "
                           "> 0");
@@ -684,7 +618,6 @@ main(int argc, char **argv)
         fsrv->service().clearCache();
         for (const std::string &p : phaseA)
             send(p);
-        rep.add("loadgen_fault_5xx", fault5xx);
         checks.expect(fault5xx == 0 && faultTransport == 0,
                       "fault scenario: zero 5xx/transport errors under "
                       "disk faults");
@@ -694,8 +627,6 @@ main(int argc, char **argv)
             fc.request(get("/metrics"), st, b);
             const double recoveries = scrape(b, "service", "recoveries");
             const double diskHits = scrape(b, "service", "diskHits");
-            rep.add("loadgen_fault_recoveries", recoveries, "%.0f");
-            rep.add("loadgen_fault_disk_hits", diskHits, "%.0f");
             checks.expect(
                 scrapeString(b, "service", "tierState") == "ok" &&
                     recoveries > 0.0,
@@ -725,11 +656,9 @@ main(int argc, char **argv)
         // Cold restart over the log the faults battered: every record
         // that survived must load and decode.
         bool faultRestart = true;
-        std::uint64_t records = 0;
         try {
             ArtifactStore store(storePath);
-            records = store.records();
-            if (records == 0)
+            if (store.records() == 0)
                 faultRestart = false;
             for (const ArtifactKey &key : store.keys()) {
                 std::vector<std::uint8_t> blob;
@@ -747,23 +676,13 @@ main(int argc, char **argv)
             faultRestart = false;
         }
         ::unlink(storePath.c_str());
-        rep.add("loadgen_fault_store_records", records);
         checks.expect(faultRestart,
                       "fault scenario: cold restart recovered the log and "
                       "every record decodes");
     }
 
-    if (!args.out.empty()) {
-        if (!rep.save(args.out))
-            return 1;
-        std::printf("wrote %s\n", args.out.c_str());
-    } else {
-        std::fputs(rep.json().c_str(), stdout);
-    }
-    if (args.check && checks.print() > 0)
-        return 1;
-
+    const int failures = checks.print();
     if (own)
         own->stop();
-    return 0;
+    return failures == 0 ? 0 : 1;
 }

@@ -2,8 +2,8 @@
  * @file
  * Shared helpers for the benches: argument parsing, size sweeps, and
  * ratio formatting for the figure/table reproductions, plus the one
- * section timer, the named-metric JSON report and the --check tally of
- * the machine-readable benches (bench_hotpaths, bench_loadgen).
+ * section timer and the named-metric JSON report of bench_hotpaths,
+ * and the --check tally it shares with bench_loadgen.
  *
  * Every figure/table bench prints the rows/series of one paper table
  * or figure. Common flags: --quick (smaller sweeps), --csv
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -109,7 +108,7 @@ banner(const std::string &title, const std::string &paper_ref)
               << paper_ref << "\n\n";
 }
 
-/** @name Machine-readable reports (bench_hotpaths, bench_loadgen) @{ */
+/** @name Machine-readable reports and --check tallies @{ */
 
 /**
  * The benches' one timing primitive. Each time() call is one timed
@@ -175,8 +174,9 @@ speedup(double slow_ms, double fast_ms)
 /**
  * One bench's JSON document, {"bench", "host", "metrics"}, with the
  * metrics in the order they were added. The host object (nproc,
- * QOMPRESS_THREADS, build type) keeps snapshots from different
- * machines interpretable; tools/bench_diff.py compares two documents.
+ * QOMPRESS_THREADS, build type) says where the numbers came from;
+ * tools/bench_diff.py reads the documents of alternating runs of two
+ * checkouts on one host.
  */
 class Report
 {
@@ -217,17 +217,6 @@ class Report
                           i + 1 < metrics_.size() ? "," : "");
         }
         return out + "  }\n}\n";
-    }
-
-    /** Write json() to @p path; false (with a message) on failure. */
-    bool
-    save(const std::string &path) const
-    {
-        std::ofstream out(path);
-        out << json();
-        if (!out)
-            std::cerr << "error: cannot write '" << path << "'\n";
-        return static_cast<bool>(out);
     }
 
   private:

@@ -121,12 +121,8 @@ CompileRequest::forDevice(Circuit c, std::string device,
 CompilerService::CompilerService(ServiceOptions opts)
     : opts_(std::move(opts))
 {
-    if (!opts_.storePath.empty()) {
-        StoreOptions sopts;
-        sopts.fsync = opts_.storeFsync;
-        sopts.fsyncIntervalBytes = opts_.storeFsyncIntervalBytes;
-        store_ = std::make_unique<ArtifactStore>(opts_.storePath, sopts);
-    }
+    if (!opts_.storePath.empty())
+        store_ = std::make_unique<ArtifactStore>(opts_.storePath, opts_.store);
 }
 
 CompileArtifact

@@ -205,10 +205,9 @@ struct ServiceOptions
      *  to a storeless service. */
     std::string storePath;
 
-    /** Durability policy for the store's appends (and the interval
-     *  knob Interval syncs on); see artifact_store.hh. */
-    FsyncPolicy storeFsync = FsyncPolicy::Never;
-    std::uint64_t storeFsyncIntervalBytes = 1 << 20;
+    /** How the store opened at storePath syncs its appends; see
+     *  artifact_store.hh. */
+    StoreOptions store;
 
     /** Consecutive store I/O failures that open the disk-tier
      *  breaker (degraded mode). 0 disables the breaker: every error

@@ -603,23 +603,40 @@ TEST(CalibrationPricing, MismatchedUnitCountIsFatalError)
 // Service integration: by-name requests and cache invalidation
 // ------------------------------------------------------------------
 
+/** Resolution by name adds no semantic drift on any zoo device: a
+ *  by-name compile equals a direct compile on the registry topology,
+ *  and an explicit-topology request for the same device hits its
+ *  memo entry. */
 TEST(ServiceDevices, ByNameMatchesExplicitTopology)
 {
-    CompilerService svc;
-    const Circuit circuit = bernsteinVazirani(8);
-
-    const CompileArtifact byName = svc.compileSync(
-        CompileRequest::forDevice(circuit, "heavyhex65", "eqm"));
-    const CompileArtifact explicitTopo = svc.compileSync(
-        CompileRequest::forCircuit(circuit, Topology::heavyHex65(),
-                                   "eqm"));
-    EXPECT_TRUE(sameResult(*byName, *explicitTopo));
-    // Same resolved content -> same artifact key: the second request
-    // must have been a memo hit on the first's entry.
-    const ServiceStats st = svc.stats();
-    EXPECT_EQ(st.requests, 2u);
-    EXPECT_EQ(st.misses, 1u);
-    EXPECT_EQ(st.hits, 1u);
+    const Circuit circuit = bernsteinVazirani(16);
+    const GateLibrary lib;
+    CompilerConfig cfg;
+    cfg.lookaheadWeight = 0.5;
+    for (const char *dev : {"falcon27", "heavyhex23", "heavyhex65",
+                            "heavyhex127", "ring65", "grid64"}) {
+        for (const char *strat : {"eqm", "rb", "awe"}) {
+            CompilerService svc;
+            const Topology topo = svc.devices().get(dev).topology;
+            const CompileArtifact byName =
+                svc.compileSync(CompileRequest::forDevice(circuit, dev,
+                                                          strat, cfg, lib));
+            EXPECT_TRUE(sameResult(
+                *byName,
+                makeStrategy(strat)->compile(circuit, topo, lib, cfg)))
+                << strat << " on " << dev;
+            const CompileArtifact explicitTopo = svc.compileSync(
+                CompileRequest::forCircuit(circuit, topo, strat, cfg, lib));
+            EXPECT_TRUE(sameResult(*byName, *explicitTopo))
+                << strat << " on " << dev;
+            // Same resolved content -> same artifact key: the second
+            // request must have been a memo hit on the first's entry.
+            const ServiceStats st = svc.stats();
+            EXPECT_EQ(st.requests, 2u) << strat << " on " << dev;
+            EXPECT_EQ(st.misses, 1u) << strat << " on " << dev;
+            EXPECT_EQ(st.hits, 1u) << strat << " on " << dev;
+        }
+    }
 }
 
 TEST(ServiceDevices, UnknownDeviceIsFatalError)

@@ -1,192 +1,145 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_*.json files and print per-metric speedup/regression.
+"""Same-runner timing gate: judge this checkout against checkout BASE
+with perfbench's A/B verdict (perfbench/compare.py), on one host.
 
-Benches (e.g. bench_hotpaths) emit {"bench": <name>, "metrics": {...}}
-with numeric values. Given a baseline and a candidate file, this prints
-one row per shared metric with the ratio and a regression marker, and
-exits nonzero when any *_ms timing regresses beyond the threshold.
+    python3 tools/bench_diff.py BASE
 
-Usage:
-    tools/bench_diff.py baseline.json candidate.json [--threshold=1.10]
-    tools/bench_diff.py baseline.json candidate.json --regress-threshold=10
-    tools/bench_diff.py baseline.json candidate.json --sections=service_
-
-Timings (metrics ending in "_ms") count as regressions when candidate
-exceeds baseline * threshold; other metrics are informational. Metrics
-present in only one file are reported as "added" (candidate only) or
-"removed" (baseline only) and never gated or errored on -- a PR that
-introduces a new bench section diffs cleanly against the old snapshot.
-Each file's "host" metadata object (nproc, QOMPRESS_THREADS, build
-type) is echoed so cross-host comparisons are interpretable.
-
---regress-threshold=N expresses the same gate as a percentage: exit
-non-zero when any timed section slows down by more than N%. It is the
-flag CI snapshots gate on (equivalent to --threshold=1+N/100).
-
---sections=PREFIX[,PREFIX...] restricts gating (and the table) to
-metrics whose name starts with one of the prefixes; everything else is
-ignored. Lets CI hold one section family to a tighter gate than the
-cross-host default.
+Both checkouts need `build/bench_hotpaths` built. The perfbench half
+runs `compare.py ab` on every workload (10 alternating pairs of 2 s runs;
+CARGO_TARGET_DIR is dropped so each checkout builds in its own
+.bench_build/). The bench_hotpaths half runs 20 alternating pairs of
+both checkouts' `bench_hotpaths --quick` and judges the *_ms sections
+that time shipped paths at BENCHMARK.json's ms bound, leaving out the
+reference paths no request runs. Every verdict is compare.ab_verdict,
+with its table printed; exit 1 on any "worse". A half runs only when its
+benchmark code is identical in both checkouts, else a changed workload
+would read as a changed program; a skipped half is named on the closing
+"verdicts:" line.
 """
 
+import collections
+import filecmp
 import json
-import math
+import os
+import subprocess
 import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import compare  # noqa: E402
+
+PERFBENCH_PAIRS = 10
+PERFBENCH_SECONDS = 2
+HOTPATHS_PAIRS = 20
+# The files whose bytes must match in both checkouts for each half.
+PERFBENCH_CODE = ("perfbench", "BENCHMARK.json")
+HOTPATHS_CODE = ("bench/bench_hotpaths.cc", "bench/bench_util.hh")
+# Suffixes of the sections that time reference paths (naive kernels,
+# uncached routing, the Taylor exponential): they feed the speedup
+# ratios and --check, but no request runs them.
+REFERENCE_SUFFIXES = ("_naive_ms", "_uncached_ms", "_taylor_ms")
 
 
-def geomean_speedups(base, cand, shared):
-    """Geometric-mean speedup (baseline/candidate, >1 = candidate is
-    faster) of the shared *_ms metrics, grouped by section prefix (the
-    leading token before the first underscore: service_warm_t1_ms and
-    service_cold_t1_ms both fold into "service"). One line per section
-    makes a whole family's win/regression readable at a glance in CI
-    logs without scanning the per-metric table."""
-    groups = {}
-    for key in shared:
-        if not key.endswith("_ms"):
-            continue
-        b, c = base[key], cand[key]
-        if b <= 0 or c <= 0:
-            continue
-        groups.setdefault(key.split("_", 1)[0], []).append(b / c)
-    return {
-        section: (math.exp(sum(math.log(r) for r in ratios)
-                           / len(ratios)), len(ratios))
-        for section, ratios in sorted(groups.items())
-    }
+def same_bytes(a, b):
+    """True when paths @p a and @p b hold the same bytes: files by
+    content, directories entry by entry (filecmp's default ignores skip
+    __pycache__)."""
+    if os.path.isdir(a) and os.path.isdir(b):
+        d = filecmp.dircmp(a, b)
+        return not (d.left_only or d.right_only) and all(
+            same_bytes(os.path.join(a, n), os.path.join(b, n))
+            for n in d.common)
+    return (os.path.isfile(a) and os.path.isfile(b)
+            and filecmp.cmp(a, b, shallow=False))
 
 
-def load_doc(path):
-    try:
-        with open(path) as f:
+def perfbench_ab(base):
+    """compare.py's saved A/B data, BASE as parent and this checkout as
+    change."""
+    env = dict(os.environ)
+    env.pop("CARGO_TARGET_DIR", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "ab.json")
+        subprocess.run([sys.executable,
+                        os.path.join(ROOT, "perfbench", "compare.py"), "ab",
+                        "--parent", base, "--change", ROOT,
+                        "--pairs", str(PERFBENCH_PAIRS),
+                        "--seconds", str(PERFBENCH_SECONDS), "--out", out],
+                       env=env, stdout=subprocess.DEVNULL, check=True)
+        with open(out) as f:
             return json.load(f)
-    except OSError as e:
-        raise SystemExit(f"{path}: {e.strerror}")
-    except json.JSONDecodeError as e:
-        raise SystemExit(f"{path}: not valid JSON ({e})")
 
 
-def metrics_of(doc, path):
-    metrics = doc.get("metrics", doc)
-    if not isinstance(metrics, dict):
-        raise SystemExit(f"{path}: no metrics object")
-    return {
-        k: v for k, v in metrics.items() if isinstance(v, (int, float))
-    }
+def hotpaths_run(root):
+    """One `bench_hotpaths --quick` of checkout @p root, as a compare.py
+    result holding its *_ms sections that time shipped paths."""
+    cmd = [os.path.join(root, "build", "bench_hotpaths"), "--quick"]
+    out = subprocess.run(cmd, capture_output=True, text=True)
+    if out.returncode != 0:
+        sys.exit("%s failed:\n%s" % (" ".join(cmd), out.stderr[-2000:]))
+    metrics = json.loads(out.stdout)["metrics"]
+    return {"metrics": {k: {"value": v} for k, v in metrics.items()
+                        if k.endswith("_ms")
+                        and not k.endswith(REFERENCE_SUFFIXES)}}
 
 
-def describe_host(doc):
-    """One-line rendering of the bench's host metadata object, so a
-    cross-host comparison (e.g. laptop vs the single-core container
-    that produced a committed snapshot) is visible in the output."""
-    host = doc.get("host")
-    if not isinstance(host, dict):
-        return "(no host metadata)"
-    return " ".join(f"{k}={v}" for k, v in sorted(host.items()))
+def hotpaths_ab(base, bound):
+    """HOTPATHS_PAIRS alternating pairs of bench_hotpaths --quick, as
+    compare.py A/B data."""
+    pairs = []
+    for i in range(HOTPATHS_PAIRS):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = hotpaths_run(base if side == "parent" else ROOT)
+        pairs.append(pair)
+    spec = {"end_to_end": [{"name": k, "better": "lower", "bound": bound}
+                           for k in pairs[0]["change"]["metrics"]]}
+    return {"spec": spec, "pairs": {"bench_hotpaths --quick": pairs}}
+
+
+def verdicts(data):
+    """(workload, metric, verdict) for every metric of compare.py A/B
+    data."""
+    for w, pairs in data["pairs"].items():
+        for m in data["spec"]["end_to_end"]:
+            par = [p["parent"]["metrics"][m["name"]]["value"] for p in pairs]
+            chg = [p["change"]["metrics"][m["name"]]["value"] for p in pairs]
+            yield w, m["name"], compare.ab_verdict(par, chg, m)
 
 
 def main(argv):
-    args = [a for a in argv[1:] if not a.startswith("--")]
-    threshold = 1.10
-    prefixes = None
-    for a in argv[1:]:
-        if not a.startswith("--"):
-            continue
-        if a.startswith("--threshold="):
-            try:
-                threshold = float(a.split("=", 1)[1])
-            except ValueError:
-                print(f"bad threshold: {a}", file=sys.stderr)
-                return 2
-        elif a.startswith("--regress-threshold="):
-            # Percent slowdown allowed per timed section, e.g.
-            # --regress-threshold=10 fails on any >10% *_ms slowdown.
-            try:
-                pct = float(a.split("=", 1)[1])
-            except ValueError:
-                print(f"bad regress threshold: {a}", file=sys.stderr)
-                return 2
-            if pct < 0:
-                print(f"regress threshold must be >= 0: {a}",
-                      file=sys.stderr)
-                return 2
-            threshold = 1.0 + pct / 100.0
-        elif a.startswith("--sections="):
-            prefixes = [p for p in a.split("=", 1)[1].split(",") if p]
-            if not prefixes:
-                print(f"empty sections filter: {a}", file=sys.stderr)
-                return 2
-        else:
-            print(f"unknown flag: {a}", file=sys.stderr)
-            return 2
-    if len(args) != 2:
+    if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-
-    base_doc = load_doc(args[0])
-    cand_doc = load_doc(args[1])
-    base = metrics_of(base_doc, args[0])
-    cand = metrics_of(cand_doc, args[1])
-    if prefixes is not None:
-        def keep(name):
-            return any(name.startswith(p) for p in prefixes)
-        base = {k: v for k, v in base.items() if keep(k)}
-        cand = {k: v for k, v in cand.items() if keep(k)}
-    shared = sorted(set(base) & set(cand))
-    removed = sorted(set(base) - set(cand))
-    added = sorted(set(cand) - set(base))
-    if not shared and not added and not removed:
-        print("no numeric metrics match the filter", file=sys.stderr)
-        return 2
-
-    print(f"baseline  host: {describe_host(base_doc)}")
-    print(f"candidate host: {describe_host(cand_doc)}")
-    if describe_host(base_doc) != describe_host(cand_doc):
-        print("note: host metadata differs; timing ratios compare "
-              "different machines/configurations")
-    print()
-
-    width = max(len(k) for k in shared + added + removed)
-    regressions = []
-    print(f"{'metric':<{width}}  {'baseline':>12}  {'candidate':>12}"
-          f"  {'ratio':>8}  note")
-    for key in shared:
-        b, c = base[key], cand[key]
-        ratio = c / b if b else float("inf") if c else 1.0
-        note = ""
-        if key.endswith("_ms"):
-            if ratio > threshold:
-                note = "REGRESSION"
-                regressions.append(key)
-            elif ratio < 1.0 / threshold:
-                note = "improved"
-        print(f"{key:<{width}}  {b:>12.4g}  {c:>12.4g}"
-              f"  {ratio:>7.3f}x  {note}")
-
-    # Sections present in only one file are informational, never gated:
-    # a brand-new bench section must not require threshold gymnastics
-    # to land, and a retired one must not block the retiring PR.
-    for key in removed:
-        print(f"{key:<{width}}  {base[key]:>12.4g}  {'--':>12}"
-              f"  {'--':>8}  removed (baseline only)")
-    for key in added:
-        print(f"{key:<{width}}  {'--':>12}  {cand[key]:>12.4g}"
-              f"  {'--':>8}  added (candidate only)")
-    if added or removed:
-        print(f"\n{len(added)} added, {len(removed)} removed "
-              "(not gated)")
-
-    speedups = geomean_speedups(base, cand, shared)
-    if speedups:
-        print("\ngeomean speedup per section "
-              "(baseline/candidate, >1 = candidate faster):")
-        for section, (speedup, n) in speedups.items():
-            print(f"  {section}: {speedup:.3f}x "
-                  f"({n} timing{'s' if n != 1 else ''})")
-
-    if regressions:
-        print(f"\n{len(regressions)} timing regression(s): "
-              + ", ".join(regressions), file=sys.stderr)
+    base = os.path.abspath(argv[1])
+    spec = compare.load_spec(ROOT)
+    ms_bound = {m["unit"]: m["bound"] for m in spec["end_to_end"]}["ms"]
+    halves = [("perfbench", PERFBENCH_CODE, lambda: perfbench_ab(base)),
+              ("bench_hotpaths", HOTPATHS_CODE,
+               lambda: hotpaths_ab(base, ms_bound))]
+    counts = collections.Counter()
+    worse, skipped = [], []
+    for name, code, run in halves:
+        if not all(same_bytes(os.path.join(base, p), os.path.join(ROOT, p))
+                   for p in code):
+            print("%s differ between the checkouts: skipping the %s A/B, "
+                  "which needs identical benchmark code"
+                  % (" or ".join(code), name))
+            skipped.append(name)
+            continue
+        data = run()
+        compare.print_ab(data)
+        for w, metric, verdict in verdicts(data):
+            counts[verdict] += 1
+            if verdict == "worse":
+                worse.append("%s %s" % (w, metric))
+    print("\nverdicts: " + ", ".join(
+        ["%d %s" % (n, v) for v, n in sorted(counts.items())]
+        + ["%s skipped" % name for name in skipped]))
+    if worse:
+        print("worse: " + ", ".join(worse), file=sys.stderr)
         return 1
     return 0
 

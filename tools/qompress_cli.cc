@@ -19,6 +19,9 @@
  *   --verify          statevector equivalence check (small circuits)
  *   --dump            print the scheduled physical gate list
  *   --qasm            echo the parsed circuit back as QASM
+ *
+ * Numeric values are strict (flags.hh): N in [1, 1024], W >= 0, X > 0,
+ * E in [0, 1); anything else exits 2 with an error naming the flag.
  */
 
 #include <cstdio>
@@ -30,6 +33,7 @@
 #include "common/error.hh"
 #include "common/strings.hh"
 #include "common/table.hh"
+#include "flags.hh"
 #include "ir/passes.hh"
 #include "ir/qasm.hh"
 #include "sim/equivalence.hh"
@@ -73,9 +77,10 @@ parse(int argc, char **argv)
     CliOptions opts;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto value = [&](const char *prefix) {
-            return a.substr(std::string(prefix).size());
-        };
+        const auto eq = a.find('=');
+        const std::string flag = a.substr(0, eq);
+        const std::string value =
+            eq == std::string::npos ? "" : a.substr(eq + 1);
         if (a == "--all") {
             opts.all = true;
         } else if (a == "--optimize") {
@@ -86,20 +91,24 @@ parse(int argc, char **argv)
             opts.dump = true;
         } else if (a == "--qasm") {
             opts.echoQasm = true;
-        } else if (a.rfind("--strategy=", 0) == 0) {
-            opts.strategy = value("--strategy=");
-        } else if (a.rfind("--topology=", 0) == 0) {
-            opts.topology = value("--topology=");
-        } else if (a.rfind("--device=", 0) == 0) {
-            opts.deviceFile = value("--device=");
-        } else if (a.rfind("--lookahead=", 0) == 0) {
-            opts.lookahead = std::atof(value("--lookahead=").c_str());
-        } else if (a.rfind("--units=", 0) == 0) {
-            opts.units = std::atoi(value("--units=").c_str());
-        } else if (a.rfind("--t1-scale=", 0) == 0) {
-            opts.t1Scale = std::atof(value("--t1-scale=").c_str());
-        } else if (a.rfind("--2q-error=", 0) == 0) {
-            opts.twoqError = std::atof(value("--2q-error=").c_str());
+        } else if (flag == "--strategy") {
+            opts.strategy = value;
+        } else if (flag == "--topology") {
+            opts.topology = value;
+        } else if (flag == "--device") {
+            opts.deviceFile = value;
+        } else if (flag == "--lookahead") {
+            opts.lookahead = nonNegativeFlag(flag, value);
+        } else if (flag == "--units") {
+            // qompressd's default --max-units.
+            opts.units = static_cast<int>(integerFlag(flag, value, 1, 1024));
+        } else if (flag == "--t1-scale") {
+            opts.t1Scale = realFlag(flag, value, "> 0",
+                                    [](double x) { return x > 0.0; });
+        } else if (flag == "--2q-error") {
+            opts.twoqError = realFlag(flag, value, "in [0, 1)", [](double x) {
+                return x >= 0.0 && x < 1.0;
+            });
         } else if (a == "--help" || a == "-h") {
             usage();
             std::exit(0);

@@ -52,10 +52,7 @@
  * connections with 503, finish in-flight compiles, exit 0.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -67,6 +64,7 @@
 #include <vector>
 
 #include "common/error.hh"
+#include "flags.hh"
 #include "server/server.hh"
 
 using namespace qompress;
@@ -114,41 +112,6 @@ usage()
         "       [--debug-endpoints]\n");
 }
 
-/** Value of the integer flag @p flag: decimal digits only, within
- *  [lo, hi]; anything else is a FatalError naming the flag. */
-std::uint64_t
-integerFlag(const std::string &flag, const std::string &value,
-            std::uint64_t lo, std::uint64_t hi)
-{
-    errno = 0;
-    const bool digits = !value.empty() &&
-                        value.find_first_not_of("0123456789") ==
-                            std::string::npos;
-    const unsigned long long n =
-        digits ? std::strtoull(value.c_str(), nullptr, 10) : 0;
-    const std::string range =
-        hi == std::numeric_limits<std::uint64_t>::max()
-            ? ">= " + std::to_string(lo)
-            : "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
-    QFATAL_IF(!digits || errno == ERANGE || n < lo || n > hi, flag,
-              " expects an integer ", range, ", got '", value, "'");
-    return n;
-}
-
-/** Value of the millisecond flag @p flag: a finite number >= 0. */
-double
-msFlag(const std::string &flag, const std::string &value)
-{
-    char *end = nullptr;
-    double x = -1.0;
-    if (!value.empty() && !std::isspace(static_cast<unsigned char>(value[0])))
-        x = std::strtod(value.c_str(), &end);
-    QFATAL_IF(end == nullptr || *end != '\0' || !std::isfinite(x) ||
-                  x < 0.0,
-              flag, " expects a finite number >= 0, got '", value, "'");
-    return x;
-}
-
 ServerOptions
 parse(int argc, char **argv)
 {
@@ -176,7 +139,7 @@ parse(int argc, char **argv)
         } else if (flag == "--queue") {
             opts.maxQueue = integer(0, kAny);
         } else if (flag == "--deadline-ms") {
-            opts.defaultDeadlineMs = msFlag(flag, value);
+            opts.defaultDeadlineMs = nonNegativeFlag(flag, value);
         } else if (flag == "--idle-timeout-ms") {
             opts.idleTimeoutMs = static_cast<int>(integer(0, kInt));
         } else if (flag == "--cache") {
@@ -186,13 +149,13 @@ parse(int argc, char **argv)
         } else if (flag == "--store") {
             opts.service.storePath = value;
         } else if (flag == "--fsync") {
-            opts.service.storeFsync = fsyncPolicyFromString(value);
+            opts.service.store.fsync = fsyncPolicyFromString(value);
         } else if (flag == "--fsync-interval-bytes") {
-            opts.service.storeFsyncIntervalBytes = integer(0, kAny);
+            opts.service.store.fsyncIntervalBytes = integer(0, kAny);
         } else if (flag == "--store-error-threshold") {
             opts.service.storeErrorThreshold = integer(0, kAny);
         } else if (flag == "--store-cooldown-ms") {
-            opts.service.storeCooldownMs = msFlag(flag, value);
+            opts.service.storeCooldownMs = nonNegativeFlag(flag, value);
         } else if (flag == "--drain-grace-ms") {
             g_drainGraceMs = static_cast<int>(integer(0, kInt));
         } else if (flag == "--template-cache") {
