@@ -2,8 +2,8 @@
  * @file
  * Shared helpers for the benches: argument parsing, size sweeps, and
  * ratio formatting for the figure/table reproductions, plus the one
- * section timer and the named-metric JSON report of bench_hotpaths,
- * and the --check tally it shares with bench_loadgen.
+ * section timer, the named-metric JSON report and the --check tally
+ * of bench_hotpaths.
  *
  * Every figure/table bench prints the rows/series of one paper table
  * or figure. Common flags: --quick (smaller sweeps), --csv

@@ -10,9 +10,8 @@
  * the bucket width, which is all a tail-latency report needs), and an
  * exact max (maintained by CAS).
  *
- * Shared by the qompressd request loop and the bench_loadgen client
- * side, so server-observed and client-observed tails are computed the
- * same way.
+ * The qompressd request loop records every request's latency into
+ * one; /metrics renders its snapshot as the "latency" section.
  */
 
 #ifndef QOMPRESS_SERVER_HISTOGRAM_HH

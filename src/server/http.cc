@@ -324,18 +324,7 @@ bool
 httpReadResponse(int fd, std::string &leftover, int &status,
                  std::string &body, int timeoutMs)
 {
-    std::map<std::string, std::string> headers;
-    return httpReadResponse(fd, leftover, status, headers, body,
-                            timeoutMs);
-}
-
-bool
-httpReadResponse(int fd, std::string &leftover, int &status,
-                 std::map<std::string, std::string> &headers,
-                 std::string &body, int timeoutMs)
-{
     status = 0;
-    headers.clear();
     body.clear();
     char chunk[8192];
     while (true) {
@@ -353,32 +342,6 @@ httpReadResponse(int fd, std::string &leftover, int &status,
                 cl != std::string::npos) {
                 bodyLen = static_cast<std::size_t>(
                     std::atol(head.c_str() + cl + 15));
-            }
-            // Header lines after the status line, lower-cased names,
-            // surrounding whitespace trimmed from values.
-            headers.clear();
-            std::size_t ls = head.find('\n');
-            while (ls != std::string::npos && ls + 1 < head.size()) {
-                const std::size_t le = head.find('\n', ls + 1);
-                std::string line = head.substr(
-                    ls + 1,
-                    (le == std::string::npos ? head.size() : le) - ls - 1);
-                if (!line.empty() && line.back() == '\r')
-                    line.pop_back();
-                if (const auto colon = line.find(':');
-                    colon != std::string::npos) {
-                    std::size_t v = colon + 1;
-                    while (v < line.size() &&
-                           (line[v] == ' ' || line[v] == '\t'))
-                        ++v;
-                    std::size_t e = line.size();
-                    while (e > v &&
-                           (line[e - 1] == ' ' || line[e - 1] == '\t'))
-                        --e;
-                    headers[lower(line.substr(0, colon))] =
-                        line.substr(v, e - v);
-                }
-                ls = le;
             }
             if (leftover.size() >= headerEnd + bodyLen) {
                 body = leftover.substr(headerEnd, bodyLen);

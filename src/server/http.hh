@@ -11,8 +11,8 @@
  * 413 oversized body, 505 wrong version).
  *
  * Client side: tiny blocking helpers (connect, send-all, read one
- * response) shared by bench_loadgen and tests/test_server.cc so both
- * speak the exact same dialect as the server.
+ * response) shared by tests/test_server.cc and perfbench's client so
+ * both speak the exact same dialect as the server.
  *
  * Supported subset: GET/POST, header folding rejected, no chunked
  * transfer encoding (Content-Length only), keep-alive per HTTP/1.1
@@ -92,16 +92,11 @@ bool httpSendAll(int fd, const std::string &data);
 
 /**
  * Read one response off @p fd (status line + headers + Content-Length
- * body). Returns false on EOF/timeout/garbage. @p leftover carries
- * bytes of a following pipelined response between calls.
+ * body) and keep its status and body; the other headers are skipped.
+ * Returns false on EOF/timeout/garbage. @p leftover carries bytes of
+ * a following pipelined response between calls.
  */
 bool httpReadResponse(int fd, std::string &leftover, int &status,
-                      std::string &body, int timeoutMs = 30000);
-
-/** Same, but also surfaces the response headers (names lower-cased)
- *  so clients can honor Retry-After and friends. */
-bool httpReadResponse(int fd, std::string &leftover, int &status,
-                      std::map<std::string, std::string> &headers,
                       std::string &body, int timeoutMs = 30000);
 /** @} */
 

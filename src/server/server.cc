@@ -7,7 +7,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <variant>
@@ -148,6 +150,8 @@ QompressServer::QompressServer(ServerOptions opts)
     : opts_(std::move(opts)), service_(opts_.service)
 {
     QFATAL_IF(opts_.workers < 1, "server needs at least one worker");
+    QFATAL_IF(opts_.maxQueue == 0,
+              "server needs an admission queue of at least one slot");
 }
 
 QompressServer::~QompressServer()
@@ -479,7 +483,8 @@ QompressServer::handleCompile(const HttpRequest &req)
     const auto t0 = Clock::now();
 
     // Deadline: query beats header beats the server default. A present
-    // value of 0 expires immediately; negative disables.
+    // value of 0 expires immediately; negative disables; one that is
+    // not finite or starts with whitespace is malformed.
     double deadlineMs = opts_.defaultDeadlineMs;
     std::string dl = req.queryParam("deadline_ms", "");
     if (dl.empty()) {
@@ -490,7 +495,9 @@ QompressServer::handleCompile(const HttpRequest &req)
     if (!dl.empty()) {
         char *end = nullptr;
         deadlineMs = std::strtod(dl.c_str(), &end);
-        QFATAL_IF(end == nullptr || *end != '\0',
+        QFATAL_IF(end == nullptr || *end != '\0' ||
+                      !std::isfinite(deadlineMs) ||
+                      std::isspace(static_cast<unsigned char>(dl[0])),
                   "malformed deadline_ms '", dl, "'");
     }
     const bool hasDeadline = !dl.empty() ? deadlineMs >= 0.0

@@ -62,7 +62,8 @@
  * parse+compile wall time. Compiles are not cancelled mid-flight; a
  * request whose work finishes past its deadline gets a 504 and the
  * artifact still warms the caches. deadline_ms=0 expires immediately
- * (a deterministic 504, used by tests); absent or negative = none.
+ * (a deterministic 504, used by tests); absent or negative = none; a
+ * value that is not finite or starts with whitespace is a 400.
  *
  * Shutdown: stop() closes the listen socket, answers every
  * still-queued connection with 503, and lets in-flight requests
@@ -115,8 +116,9 @@ struct ServerOptions
     /** Connection workers == max concurrent compiles. */
     int workers = 4;
 
-    /** Accepted-connection admission queue bound; a connection
-     *  arriving while `maxQueue` others wait is shed with 503. */
+    /** Accepted-connection admission queue bound (at least 1); a
+     *  connection arriving while `maxQueue` others wait is shed with
+     *  503. */
     std::size_t maxQueue = 64;
 
     /** Request body cap (the QASM program), bytes. */

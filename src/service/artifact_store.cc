@@ -405,17 +405,6 @@ ArtifactStore::records()
     return index_.size();
 }
 
-std::vector<ArtifactKey>
-ArtifactStore::keys()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    std::vector<ArtifactKey> out;
-    out.reserve(index_.size());
-    for (const auto &entry : index_)
-        out.push_back(entry.first);
-    return out;
-}
-
 std::uint64_t
 ArtifactStore::bytesOnDisk()
 {

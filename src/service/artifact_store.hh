@@ -140,10 +140,6 @@ class ArtifactStore
     /** Live (indexed) records. */
     std::size_t records();
 
-    /** Every live key (unspecified order); lets integrity sweeps load
-     *  and decode the whole store without private index access. */
-    std::vector<ArtifactKey> keys();
-
     /** Current log size in bytes (header + all frames, superseded
      *  ones included). */
     std::uint64_t bytesOnDisk();

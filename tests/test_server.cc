@@ -1,17 +1,20 @@
 /**
  * @file
  * qompressd contract tests: real sockets against an in-process
- * QompressServer on an ephemeral loopback port.
+ * QompressServer on an ephemeral loopback port. This is the one
+ * over-the-wire acceptance suite.
  *
  * Pins the public contract in server/server.hh: endpoint behavior and
  * JSON shapes, the error-taxonomy -> status-code table (malformed QASM
  * is a structured 400 that leaves the connection serving, unknown
- * paths 404, wrong methods 405, expired deadlines 504, admission
- * overflow 503), keep-alive + pipelining at the HTTP layer, the
- * /metrics ServiceStats partition invariant, every ServerStats and
- * ServiceStats field rendered from its field list, template-tier hits from
- * parameterized sweep traffic, and graceful shutdown. Runs under the
- * TSan CI job (labels: threads;server).
+ * paths 404, wrong methods 405, malformed deadlines 400, expired
+ * deadlines 504, admission overflow 503), keep-alive + pipelining at
+ * the HTTP layer, the /metrics ServiceStats partition invariant, every
+ * ServerStats and ServiceStats field rendered from its field list, a
+ * mixed concurrent load served by the memo and template tiers with
+ * zero 5xx, the disk tier's fault arc (healthy, degraded, recovered,
+ * restarted warm on the same store), and graceful shutdown. Runs under
+ * the TSan CI job (labels: threads;server).
  */
 
 #include <gtest/gtest.h>
@@ -188,6 +191,30 @@ scrape(const std::string &doc, const std::string &section,
     return std::atof(doc.c_str() + k + key.size() + 3);
 }
 
+/** The /metrics counter partition: requests == hits + templateHits +
+ *  diskHits + misses + coalesced. */
+bool
+partitionHolds(const std::string &doc)
+{
+    auto n = [&](const char *key) { return scrape(doc, "service", key); };
+    return n("requests") == n("hits") + n("templateHits") + n("diskHits") +
+                                n("misses") + n("coalesced");
+}
+
+/** Copy of @p base with every rotation angle re-rolled: the same
+ *  structure (a template-tier near-miss) with fresh parameters. */
+Circuit
+withFreshAngles(const Circuit &base, Rng &rng)
+{
+    Circuit out(base.numQubits(), base.name());
+    for (Gate g : base.gates()) {
+        if (gateHasParam(g.type))
+            g.param = rng.nextDouble(-3.0, 3.0);
+        out.add(std::move(g));
+    }
+    return out;
+}
+
 /** Boots a server for a test, ephemeral port, debug endpoints on. */
 struct ServerFixture
 {
@@ -338,13 +365,17 @@ TEST(Server, RoutingErrors404And405)
 TEST(Server, MalformedHttpIs400AndCountsAsClientError)
 {
     ServerFixture fx;
+    int status = 0;
+    std::string body;
     {
         TestClient c = fx.client();
-        int status = 0;
-        std::string body;
         ASSERT_TRUE(c.request("GARBAGE\r\n\r\n", status, body));
         EXPECT_EQ(status, 400);
     }
+    // The garbage closed its connection; a fresh one is served.
+    TestClient c = fx.client();
+    ASSERT_TRUE(c.request(get("/healthz"), status, body));
+    EXPECT_EQ(status, 200);
     const ServerStats s = fx.server->stats();
     EXPECT_GE(s.clientErrors, 1u);
     EXPECT_EQ(s.serverErrors, 0u);
@@ -377,6 +408,35 @@ TEST(Server, ZeroDeadlineIsDeterministic504)
     EXPECT_EQ(status, 200);
 }
 
+TEST(Server, NonFiniteOrSpacedDeadlineIs400)
+{
+    ServerFixture fx;
+    TestClient c = fx.client();
+    int status = 0;
+    std::string body;
+    // "+0" decodes to " 0": leading whitespace, which strtod skips.
+    for (const char *dl : {"nan", "-nan", "inf", "1e999", "+0"}) {
+        ASSERT_TRUE(c.request(
+            postCompile(kValidQasm, std::string("?deadline_ms=") + dl),
+            status, body));
+        EXPECT_EQ(status, 400) << dl;
+        EXPECT_NE(body.find("malformed deadline_ms"), std::string::npos)
+            << body;
+    }
+    ASSERT_TRUE(c.request("POST /compile HTTP/1.1\r\nHost: t\r\n"
+                          "X-Deadline-Ms: nan\r\nContent-Length: " +
+                              std::to_string(std::string(kValidQasm)
+                                                 .size()) +
+                              "\r\n\r\n" + kValidQasm,
+                          status, body));
+    EXPECT_EQ(status, 400);
+    EXPECT_NE(body.find("'nan'"), std::string::npos) << body;
+    // A negative value still disables the deadline.
+    ASSERT_TRUE(c.request(postCompile(kValidQasm, "?deadline_ms=-1"),
+                          status, body));
+    EXPECT_EQ(status, 200);
+}
+
 TEST(Server, OverloadShedsWith503)
 {
     // One worker, one queue slot. Each step gates on the server's own
@@ -388,6 +448,8 @@ TEST(Server, OverloadShedsWith503)
     // without bound.
     ServerOptions opts;
     opts.workers = 1;
+    opts.maxQueue = 0; // would shed every connection: refused up front
+    EXPECT_THROW(QompressServer{opts}, FatalError);
     opts.maxQueue = 1;
     ServerFixture fx(opts);
 
@@ -445,20 +507,14 @@ TEST(Server, MetricsExposeServiceStatsAndPartitionHolds)
     ASSERT_TRUE(c.request(postCompile(kValidQasm), status, body));
     ASSERT_TRUE(c.request(get("/metrics"), status, body));
     EXPECT_EQ(status, 200);
-    const double requests = scrape(body, "service", "requests");
-    const double hits = scrape(body, "service", "hits");
-    const double misses = scrape(body, "service", "misses");
-    const double tmpl = scrape(body, "service", "templateHits");
-    const double coalesced = scrape(body, "service", "coalesced");
-    const double disk = scrape(body, "service", "diskHits");
-    EXPECT_EQ(requests, 2.0);
-    EXPECT_GE(hits, 1.0);
-    EXPECT_EQ(requests, hits + tmpl + disk + misses + coalesced);
+    EXPECT_EQ(scrape(body, "service", "requests"), 2.0);
+    EXPECT_GE(scrape(body, "service", "hits"), 1.0);
+    EXPECT_TRUE(partitionHolds(body)) << body;
     // All cache tiers are visible; persistence keys are exported even
     // with the store off (scrape returns -1 for an absent key).
     EXPECT_GE(scrape(body, "service", "cacheSize"), 1.0);
     EXPECT_GE(scrape(body, "service", "templateCapacity"), 0.0);
-    EXPECT_GE(disk, 0.0);
+    EXPECT_GE(scrape(body, "service", "diskHits"), 0.0);
     EXPECT_GE(scrape(body, "service", "bytesInUse"), 0.0);
     EXPECT_GE(scrape(body, "service", "storeRecords"), 0.0);
     EXPECT_GE(scrape(body, "service", "sizeEvictions"), 0.0);
@@ -521,14 +577,9 @@ TEST(Server, ParameterizedSweepTrafficHitsTemplateTier)
     int status = 0;
     std::string body;
     for (int i = 0; i < 4; ++i) {
-        Circuit variant(base.numQubits(), base.name());
-        for (Gate g : base.gates()) {
-            if (gateHasParam(g.type))
-                g.param = rng.nextDouble(-3.0, 3.0);
-            variant.add(std::move(g));
-        }
-        ASSERT_TRUE(c.request(postCompile(variant.toQasm()), status,
-                              body));
+        ASSERT_TRUE(c.request(
+            postCompile(withFreshAngles(base, rng).toQasm()), status,
+            body));
         EXPECT_EQ(status, 200);
     }
     ASSERT_TRUE(c.request(get("/metrics"), status, body));
@@ -551,29 +602,58 @@ TEST(Server, KeepAliveServesPipelinedRequests)
 
 TEST(Server, ConcurrentClientsAllSucceed)
 {
+    // A mixed load on four keep-alive connections: catalog repeats
+    // (memo tier), fresh-angle QAOA sweeps (template tier) and
+    // malformed bodies, which must not cost the connection.
     ServerOptions opts;
     opts.workers = 4;
     ServerFixture fx(opts);
+    const std::vector<std::string> catalog = {
+        postCompile(kValidQasm),
+        postCompile(benchmarkFamily("bv").make(8).toQasm())};
+    const std::string malformed =
+        postCompile("OPENQASM 2.0; qreg q[2]; cx q[0],q[0];");
+    const Circuit sweep = benchmarkFamily("qaoa_random").make(8);
+    constexpr int kClients = 4, kRounds = 3;
     std::vector<std::thread> clients;
-    std::atomic<int> ok{0};
-    for (int t = 0; t < 4; ++t) {
-        clients.emplace_back([&fx, &ok] {
-            TestClient c("127.0.0.1", fx.server->port());
-            for (int i = 0; i < 5; ++i) {
-                int status = 0;
-                std::string body;
-                if (c.request(postCompile(kValidQasm), status, body) &&
-                    status == 200)
+    std::atomic<int> ok{0}, structured400{0};
+    for (int t = 0; t < kClients; ++t) {
+        clients.emplace_back([&, t] {
+            TestClient c = fx.client();
+            Rng rng(100 + static_cast<std::uint64_t>(t));
+            int status = 0;
+            std::string body;
+            auto send200 = [&](const std::string &p) {
+                if (c.request(p, status, body) && status == 200)
                     ok.fetch_add(1);
+            };
+            for (int i = 0; i < kRounds; ++i) {
+                for (const std::string &p : catalog)
+                    send200(p);
+                send200(postCompile(withFreshAngles(sweep, rng).toQasm()));
+                if (c.request(malformed, status, body) && status == 400 &&
+                    body.find("\"error\"") != std::string::npos)
+                    structured400.fetch_add(1);
             }
         });
     }
     for (std::thread &t : clients)
         t.join();
-    EXPECT_EQ(ok.load(), 20);
+    const int kValid =
+        kClients * kRounds * static_cast<int>(catalog.size() + 1);
+    EXPECT_EQ(ok.load(), kValid);
+    EXPECT_EQ(structured400.load(), kClients * kRounds);
     const ServerStats s = fx.server->stats();
     EXPECT_EQ(s.serverErrors, 0u);
-    EXPECT_EQ(s.ok, 20u);
+    EXPECT_EQ(s.ok, static_cast<std::uint64_t>(kValid));
+
+    TestClient c = fx.client();
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(c.request(get("/metrics"), status, body));
+    EXPECT_GT(scrape(body, "service", "hits"), 0.0);
+    EXPECT_GT(scrape(body, "service", "templateHits"), 0.0);
+    EXPECT_TRUE(partitionHolds(body)) << body;
 }
 
 TEST(Server, GracefulStopDrainsAndStopsListening)
@@ -634,44 +714,86 @@ TEST(Server, HealthzReportsOkThenDrainingAfterBeginDrain)
 
 TEST(Server, HealthzReportsDegradedWhenDiskTierTrips)
 {
-    const std::string storePath =
-        ::testing::TempDir() + "qompress_server_degraded.qst";
+    // The disk tier's whole fault arc: healthy, faulted, recovered,
+    // then restarted on the same store. Every request is a full=1
+    // compile with fresh angles, so it skips the template tier and
+    // must talk to the disk.
+    const std::string storePath = ::testing::TempDir() +
+                                  "qompress_server_degraded_" +
+                                  std::to_string(::getpid()) + ".qst";
     std::remove(storePath.c_str());
-
     ServerOptions opts;
     opts.service.storePath = storePath;
     opts.service.storeErrorThreshold = 1;
-    opts.service.storeCooldownMs = 60000.0; // stay degraded for the test
-    ServerFixture fx(opts);
-
-    {
-        FaultInjector inj(7);
-        inj.arm("store.pwrite", failWith(EIO));
-        ScopedFaultInjection scope(inj);
-
-        // A full compile misses every memory tier and tries the
-        // write-behind, which the armed fault fails -> breaker trips.
-        TestClient c = fx.client();
-        int status = 0;
-        std::string body;
-        ASSERT_TRUE(c.request(postCompile(kValidQasm, "?full=1"), status,
-                              body));
-        EXPECT_EQ(status, 200); // degradation is invisible to the caller
-    }
-
+    opts.service.storeCooldownMs = 20.0;
+    const Circuit base = benchmarkFamily("qaoa_random").make(8);
+    Rng rng(11);
+    auto fresh = [&] {
+        return postCompile(withFreshAngles(base, rng).toQasm(), "?full=1");
+    };
+    std::vector<std::string> healthy;
+    for (int i = 0; i < 4; ++i)
+        healthy.push_back(fresh());
+    const double n = static_cast<double>(healthy.size());
     int status = 0;
     std::string body;
+    {
+        ServerFixture fx(opts);
+        TestClient c = fx.client();
+        // Healthy: each unique compile is written behind to the store.
+        for (const std::string &p : healthy) {
+            ASSERT_TRUE(c.request(p, status, body));
+            EXPECT_EQ(status, 200);
+        }
+        {
+            FaultInjector inj(7);
+            inj.arm("store.pwrite", failWith(EIO));
+            inj.arm("store.pread", failWith(EIO));
+            ScopedFaultInjection scope(inj);
+            for (int i = 0; i < 3; ++i) {
+                ASSERT_TRUE(c.request(fresh(), status, body));
+                EXPECT_EQ(status, 200); // degradation is invisible
+            }
+            // No compile runs between these two reads and only a
+            // compile's probe leaves the degraded state, so both read
+            // degraded at any cooldown.
+            ASSERT_TRUE(c.request(get("/metrics"), status, body));
+            EXPECT_NE(body.find("\"tierState\": \"degraded\""),
+                      std::string::npos)
+                << body;
+            EXPECT_GE(scrape(body, "service", "storeErrors"), 1.0);
+            ASSERT_TRUE(c.request(get("/healthz"), status, body));
+            EXPECT_EQ(status, 200); // memory tiers still serve: up
+            EXPECT_NE(body.find("\"degraded\""), std::string::npos)
+                << body;
+        }
+        // Recovered: faults cleared, cooldown passed, memory tiers
+        // dropped. The first repeat's probe re-closes the breaker and
+        // every repeat is a disk hit.
+        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+        fx.server->service().clearCache();
+        for (const std::string &p : healthy) {
+            ASSERT_TRUE(c.request(p, status, body));
+            EXPECT_EQ(status, 200);
+        }
+        ASSERT_TRUE(c.request(get("/metrics"), status, body));
+        EXPECT_NE(body.find("\"tierState\": \"ok\""), std::string::npos)
+            << body;
+        EXPECT_GE(scrape(body, "service", "recoveries"), 1.0);
+        EXPECT_EQ(scrape(body, "service", "diskHits"), n);
+        EXPECT_TRUE(partitionHolds(body)) << body;
+    }
+    // Restarted: a second server on the same store serves every
+    // healthy-phase request from disk, with no compile.
+    ServerFixture fx(opts);
     TestClient c = fx.client();
-    ASSERT_TRUE(c.request(get("/healthz"), status, body));
-    EXPECT_EQ(status, 200); // memory tiers still serve: up, not down
-    EXPECT_NE(body.find("\"degraded\""), std::string::npos) << body;
-
+    for (const std::string &p : healthy) {
+        ASSERT_TRUE(c.request(p, status, body));
+        EXPECT_EQ(status, 200);
+    }
     ASSERT_TRUE(c.request(get("/metrics"), status, body));
-    EXPECT_EQ(status, 200);
-    EXPECT_NE(body.find("\"tierState\": \"degraded\""), std::string::npos)
-        << body;
-    EXPECT_GE(scrape(body, "service", "storeErrors"), 1.0);
-
+    EXPECT_EQ(scrape(body, "service", "diskHits"), n);
+    EXPECT_EQ(scrape(body, "service", "misses"), 0.0);
     std::remove(storePath.c_str());
 }
 

@@ -10,7 +10,7 @@
  *   --bind=ADDR         bind address (default 127.0.0.1)
  *   --workers=N         connection workers = max concurrent compiles
  *                       (default: hardware concurrency, min 2)
- *   --queue=N           admission queue bound (default 64)
+ *   --queue=N           admission queue bound (>= 1, default 64)
  *   --deadline-ms=X     default per-request deadline (0 = none)
  *   --idle-timeout-ms=N keep-alive/slow-client read timeout
  *   --cache=N           artifact memo LRU capacity
@@ -137,7 +137,7 @@ parse(int argc, char **argv)
         } else if (flag == "--workers") {
             opts.workers = static_cast<int>(integer(1, kInt));
         } else if (flag == "--queue") {
-            opts.maxQueue = integer(0, kAny);
+            opts.maxQueue = integer(1, kAny);
         } else if (flag == "--deadline-ms") {
             opts.defaultDeadlineMs = nonNegativeFlag(flag, value);
         } else if (flag == "--idle-timeout-ms") {
